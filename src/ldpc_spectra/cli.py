@@ -1,6 +1,7 @@
 """Command line interface.
 
-Every subcommand writes one document (CSV or JSON) to stdout or --output.
+Every subcommand writes one document (CSV or JSON) to stdout or --output;
+the document is rendered in full first, so a failed run writes nothing.
 Exit codes: 0 success, 2 parameter/domain errors, 3 capacity errors; error
 details go to stderr as a single JSON object {"code": ..., "message": ...}.
 
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -106,10 +109,24 @@ def emit_csv(header, rows, out) -> None:
         writer.writerow(row)
 
 
-def _open_output(args):
-    if args.output is None:
-        return sys.stdout, False
-    return open(args.output, "w", encoding="utf-8", newline=""), True
+def _write_output(path: str | None, text: str) -> None:
+    """Write a finished document to stdout or, atomically, to path.
+
+    The document goes to a sibling temporary file that replaces path only
+    once it is fully written, so path never holds a partial document.
+    """
+    if path is None:
+        sys.stdout.write(text)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise ParameterError(f"cannot write --output {path!r}: {exc.strerror or exc}")
 
 
 def _fraction_row(l: int, value: Fraction) -> list[str]:
@@ -126,9 +143,7 @@ def _fraction_row(l: int, value: Fraction) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args, out) -> None:
-    params = spectrum.EnsembleParams(q=args.q, c=args.c, d=args.d, n=args.n)
-    table = spectrum.avg_weight_distribution(params, n_cap=args.n_cap)
+def _emit_spectrum_table(args, table: spectrum.SpectrumTable, out) -> None:
     if args.format == "csv":
         rows = [_fraction_row(l, v) for l, v in enumerate(table.values)]
         emit_csv(["l", "numerator", "denominator", "approx"], rows, out)
@@ -139,21 +154,18 @@ def _cmd_spectrum(args, out) -> None:
             ]
         }
         emit_json(args, data, out)
+
+
+def _cmd_spectrum(args, out) -> None:
+    params = spectrum.EnsembleParams(q=args.q, c=args.c, d=args.d, n=args.n)
+    table = spectrum.avg_weight_distribution(params, n_cap=args.n_cap)
+    _emit_spectrum_table(args, table, out)
 
 
 def _cmd_exhaustive(args, out) -> None:
     params = spectrum.EnsembleParams(q=args.q, c=args.c, d=args.d, n=args.n)
     table = sim.exhaustive_ensemble(params, config_cap=args.config_cap)
-    if args.format == "csv":
-        rows = [_fraction_row(l, v) for l, v in enumerate(table.values)]
-        emit_csv(["l", "numerator", "denominator", "approx"], rows, out)
-    else:
-        data = {
-            "spectrum": [
-                {"l": l, **jsonable(v)} for l, v in enumerate(table.values)
-            ]
-        }
-        emit_json(args, data, out)
+    _emit_spectrum_table(args, table, out)
 
 
 def _grid(args) -> np.ndarray:
@@ -274,7 +286,6 @@ def _report_data(report: sim.SimReport) -> dict:
         "l0": report.l0,
         "alpha": report.alpha,
         "filter_on": report.filter_on,
-        "backend": report.backend,
         "overall": _stats_data(report.overall),
         "filtered": _stats_data(report.filtered),
         "filter_pass_rate": report.filter_pass_rate,
@@ -546,12 +557,9 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        out, close_out = _open_output(args)
-        try:
-            args.func(args, out)
-        finally:
-            if close_out:
-                out.close()
+        out = io.StringIO()
+        args.func(args, out)
+        _write_output(args.output, out.getvalue())
     except ParameterError as exc:
         sys.stderr.write(json.dumps({"code": 2, "message": str(exc)}) + "\n")
         return 2

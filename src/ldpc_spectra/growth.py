@@ -94,7 +94,8 @@ def divergence(x: float, y: float) -> float:
 
 
 def _powi(t: float, e: int) -> float:
-    # Repeated multiplication, matching the kernel backends bit for bit.
+    # Repeated multiplication, so scalar zeta agrees with the batch solver
+    # in kernels bit for bit.
     out = t
     for _ in range(e - 1):
         out *= t

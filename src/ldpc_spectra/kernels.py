@@ -1,127 +1,39 @@
-"""Hot numerical kernels with selectable numba and pure-numpy backends.
+"""Hot numerical kernels in numpy.
 
 Two kernels live here because they dominate runtime: counting Hamming
 weights over all linear combinations of a kernel basis, and batched
 bisection for the tilt parameter used by the growth-rate evaluator.
-
-Backend selection: the environment variable ``LDPC_SPECTRA_BACKEND`` may be
-``auto`` (default: numba when importable, else numpy), ``numba``, or
-``numpy``.  Both implementations of each kernel follow the same floating
-point operation sequence, so results are identical across backends; the
-integer weight counts are exact either way.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .errors import ParameterError
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-BACKEND_ENV = "LDPC_SPECTRA_BACKEND"
-_CHOICES = ("auto", "numba", "numpy")
-
-
-def active_backend(override: str | None = None) -> str:
-    """Resolve the backend name, honoring the override then the environment."""
-    choice = override if override is not None else os.environ.get(BACKEND_ENV, "auto")
-    choice = choice.strip().lower()
-    if choice not in _CHOICES:
-        raise ParameterError(f"backend must be one of {_CHOICES}, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise ParameterError("numba backend requested but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
 
 # ---------------------------------------------------------------------------
 # Kernel 1: weight counts of all linear combinations of a basis
 # ---------------------------------------------------------------------------
 
-
-def _count_weights_numpy(basis, q, add_table, mul_table, total):
-    dim, n = basis.shape
-    counts = np.zeros(n + 1, np.int64)
-    if dim == 0:
-        counts[0] = 1
-        return counts
-    nonzero_cols = [np.nonzero(basis[j])[0] for j in range(dim)]
-    chunk = 1 << 14
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        cw = np.zeros((stop - start, n), np.uint8)
-        tmp = idx
-        for j in range(dim):
-            dig = (tmp % q).astype(np.intp)
-            tmp = tmp // q
-            cols = nonzero_cols[j]
-            if cols.size:
-                contrib = mul_table[dig[:, None], basis[j][None, cols]]
-                cw[:, cols] = add_table[cw[:, cols], contrib]
-        weights = np.count_nonzero(cw, axis=1)
-        counts += np.bincount(weights, minlength=n + 1)
-        start = stop
-    return counts
+# Words of the (high chunk) x (low span) sum table built per step; small
+# chunks keep the temporary arrays, and so the peak memory, small.
+_CHUNK_WORDS = 1 << 14
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _count_weights_numba(basis, q, add_table, neg_table, mul_table):
-        # Reflected mixed-radix Gray walk: each step changes one digit by 1,
-        # so the running codeword is updated along one basis row only.
-        dim, n = basis.shape
-        counts = np.zeros(n + 1, np.int64)
-        digits = np.zeros(dim, np.int64)
-        dirs = np.ones(dim, np.int64)
-        focus = np.empty(dim + 1, np.int64)
-        for j in range(dim + 1):
-            focus[j] = j
-        cw = np.zeros(n, np.int64)
-        nonzero = 0
-        counts[0] += 1
-        while True:
-            j = focus[0]
-            focus[0] = 0
-            if j == dim:
-                break
-            old = digits[j]
-            new = old + dirs[j]
-            digits[j] = new
-            if new == 0 or new == q - 1:
-                dirs[j] = -dirs[j]
-                focus[j] = focus[j + 1]
-                focus[j + 1] = j + 1
-            delta = add_table[new, neg_table[old]]
-            for col in range(n):
-                bv = basis[j, col]
-                if bv != 0:
-                    oldc = cw[col]
-                    newc = add_table[oldc, mul_table[delta, bv]]
-                    cw[col] = newc
-                    if oldc == 0:
-                        nonzero += 1
-                    elif newc == 0:
-                        nonzero -= 1
-            counts[nonzero] += 1
-        return counts
+def _span(rows, add_table, mul_table):
+    """All q**k linear combinations of the (k, n) rows, one word per row."""
+    n = rows.shape[1]
+    words = np.zeros((1, n), np.uint8)
+    for row in rows:
+        multiples = mul_table[:, row]
+        words = add_table[multiples[:, None, :], words[None, :, :]].reshape(-1, n)
+    return words
 
 
-def count_weights(basis, q, add_table, neg_table, mul_table, backend=None):
+def count_weights(basis, q, add_table, mul_table):
     """Count Hamming weights over all q**dim linear combinations of basis rows.
+
+    The basis is split into two halves whose spans, high and low, are built
+    explicitly; every word is then one sum high[i] + low[j], and the sums
+    are formed and counted a chunk of high words at a time.
 
     Parameters
     ----------
@@ -130,31 +42,26 @@ def count_weights(basis, q, add_table, neg_table, mul_table, backend=None):
         be linearly independent if each codeword is to be visited once.
     q : int
         Field order; tables must come from the matching FieldSpec.
-    add_table, neg_table, mul_table : numpy arrays
+    add_table, mul_table : numpy arrays
         Dense field operation tables.
-    backend : str or None
-        Explicit backend override ('auto', 'numba', 'numpy').
 
     Returns
     -------
     (n + 1,) int64 array
         counts[w] = number of enumerated words of weight w; sums to q**dim.
     """
-    which = active_backend(backend)
-    basis = np.ascontiguousarray(basis)
-    dim, _ = basis.shape
-    total = q**dim
-    if which == "numba":
-        return _count_weights_numba(
-            basis.astype(np.int64),
-            q,
-            add_table.astype(np.int64),
-            neg_table.astype(np.int64),
-            mul_table.astype(np.int64),
-        )
-    return _count_weights_numpy(
-        basis.astype(np.uint8), q, add_table, mul_table, total
-    )
+    basis = np.asarray(basis, np.uint8)
+    dim, n = basis.shape
+    half = dim // 2
+    low = _span(basis[:half], add_table, mul_table)
+    high = _span(basis[half:], add_table, mul_table)
+    step = max(1, _CHUNK_WORDS // len(low))
+    counts = np.zeros(n + 1, np.int64)
+    for start in range(0, len(high), step):
+        words = add_table[high[start:start + step, None, :], low[None, :, :]]
+        weights = np.count_nonzero(words, axis=2)
+        counts += np.bincount(weights.ravel(), minlength=n + 1)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +71,11 @@ def count_weights(basis, q, add_table, neg_table, mul_table, backend=None):
 # The target function is the strictly increasing rational map
 #   f(t) = (t + t**(d-1) + (q-2) t**d) / (1 + (q-1) t**d)
 # on [-1/(q-1), 1].  For q = 2 and odd d it extends continuously to
-# f(-1) = 2/d - 1.  Powers are computed by repeated multiplication in both
-# backends so the float trajectories match bit for bit.
+# f(-1) = 2/d - 1.  Powers are computed by repeated multiplication, as in
+# the scalar growth.zeta, so scalar and batched values match bit for bit.
 
 
-def _zeta_numpy(q, d, t):
+def _zeta(q, d, t):
     tp = t.copy()
     for _ in range(d - 2):
         tp = tp * t
@@ -182,62 +89,23 @@ def _zeta_numpy(q, d, t):
     return out
 
 
-def _solve_zhat_numpy(q, d, z, lo0, hi0, tol, maxit):
-    lo = np.full(z.shape, lo0, np.float64)
-    hi = np.full(z.shape, hi0, np.float64)
-    for _ in range(maxit):
-        mid = 0.5 * (lo + hi)
-        active = ~((mid == lo) | (mid == hi) | ((hi - lo) <= tol))
-        if not active.any():
-            break
-        fv = _zeta_numpy(q, d, mid)
-        below = (fv < z) & active
-        lo = np.where(below, mid, lo)
-        hi = np.where(~below & active, mid, hi)
-    return 0.5 * (lo + hi)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _zeta_numba(q, d, t):
-        if q == 2 and d % 2 == 1 and t == -1.0:
-            return 2.0 / d - 1.0
-        tp = t
-        for _ in range(d - 2):
-            tp = tp * t
-        td = tp * t
-        num = t + tp + (q - 2.0) * td
-        den = 1.0 + (q - 1.0) * td
-        return num / den
-
-    @njit(cache=True, nogil=True)
-    def _solve_zhat_numba(q, d, z, lo0, hi0, tol, maxit):
-        out = np.empty(z.shape[0], np.float64)
-        for i in range(z.shape[0]):
-            lo = lo0
-            hi = hi0
-            target = z[i]
-            for _ in range(maxit):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi or (hi - lo) <= tol:
-                    break
-                if _zeta_numba(q, d, mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            out[i] = 0.5 * (lo + hi)
-        return out
-
-
-def solve_zhat_batch(q, d, z, lo, hi, tol, maxit, backend=None):
+def solve_zhat_batch(q, d, z, lo, hi, tol, maxit):
     """Solve f(t) = z[i] elementwise on the bracket [lo, hi] by bisection.
 
     Stops per element when the bracket width reaches tol or the floating
     point floor, whichever comes first, capped at maxit iterations.
     """
     z = np.ascontiguousarray(z, np.float64)
-    which = active_backend(backend)
-    if which == "numba":
-        return _solve_zhat_numba(q, d, z, float(lo), float(hi), float(tol), maxit)
-    return _solve_zhat_numpy(q, d, z, float(lo), float(hi), float(tol), maxit)
+    lo = np.full(z.shape, float(lo), np.float64)
+    hi = np.full(z.shape, float(hi), np.float64)
+    tol = float(tol)
+    for _ in range(maxit):
+        mid = 0.5 * (lo + hi)
+        active = ~((mid == lo) | (mid == hi) | ((hi - lo) <= tol))
+        if not active.any():
+            break
+        fv = _zeta(q, d, mid)
+        below = (fv < z) & active
+        lo = np.where(below, mid, lo)
+        hi = np.where(~below & active, mid, hi)
+    return 0.5 * (lo + hi)

@@ -18,7 +18,6 @@ worker count.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +35,6 @@ from .spectrum import EnsembleParams, SpectrumTable
 DEFAULT_ENUM_CAP = 1 << 24
 # Default cap on permutation-multiplier configurations for exhaustive averaging.
 DEFAULT_CONFIG_CAP = 10**8
-
-THREADS_ENV = "LDPC_SPECTRA_THREADS"
 
 
 @dataclass(frozen=True)
@@ -90,13 +87,23 @@ def assemble_parity(params: EnsembleParams, field: FieldSpec, permutation, multi
     return h
 
 
+def _require_tables(field: FieldSpec, what: str) -> None:
+    if field.add_table is None:
+        raise ParameterError(
+            f"{what} requires a tabled field (q <= 256), got q = {field.q}"
+        )
+
+
 def sample_code(params: EnsembleParams, seed, field: FieldSpec | None = None) -> CodeSample:
     """Draw one code from the ensemble, deterministically in the seed.
 
     seed may be an int or a tuple of ints (it feeds numpy SeedSequence).
+    Extension fields need operation tables (q <= 256) to add multipliers.
     """
     if field is None:
         field = build_field(params.q)
+    if field.k > 1:
+        _require_tables(field, "sampling over an extension field")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     cn = params.num_sockets
     perm = rng.permutation(cn)
@@ -115,22 +122,18 @@ def enumerate_weights(
     field: FieldSpec,
     parity_matrix: np.ndarray,
     cap: int = DEFAULT_ENUM_CAP,
-    backend: str | None = None,
 ) -> WeightEnumeration:
     """Exact weight distribution of the code {x : parity_matrix @ x = 0}.
 
-    Walks all q**dim codewords (dim = kernel dimension) through the
-    selected kernel backend.
+    Counts all q**dim codewords (dim = kernel dimension) with
+    kernels.count_weights.
 
     Raises
     ------
     CapacityError
         If q**dim exceeds cap; the request is refused before any work.
     """
-    if field.add_table is None:
-        raise ParameterError(
-            f"enumeration requires a tabled field (q <= 256), got q = {field.q}"
-        )
+    _require_tables(field, "enumeration")
     basis = kernel_basis(field, parity_matrix)
     dim, n = basis.shape
     total = field.q**dim
@@ -138,9 +141,7 @@ def enumerate_weights(
         raise CapacityError(
             f"q**dim = {field.q}**{dim} = {total} codewords exceeds the cap {cap}"
         )
-    counts = kernels.count_weights(
-        basis, field.q, field.add_table, field.neg_table, field.mul_table, backend
-    )
+    counts = kernels.count_weights(basis, field.q, field.add_table, field.mul_table)
     counts_t = tuple(int(v) for v in counts)
     dmin: float = math.inf
     for w in range(1, n + 1):
@@ -161,10 +162,7 @@ def dmin_le_2(field: FieldSpec, parity_matrix: np.ndarray) -> bool:
     A weight-1 word exists iff some column is all zero; a weight-2 word
     exists iff two columns are proportional over the field.
     """
-    if field.add_table is None:
-        raise ParameterError(
-            f"column analysis requires a tabled field (q <= 256), got q = {field.q}"
-        )
+    _require_tables(field, "column analysis")
     h = np.asarray(parity_matrix, np.uint8)
     if has_zero_column(h):
         return True
@@ -222,7 +220,6 @@ class SimReport:
     alpha: float
     filter_on: bool
     workers: int
-    backend: str
     overall: SpectrumStats
     filtered: SpectrumStats | None
 
@@ -276,22 +273,6 @@ def _aggregate(n: int, rows: list[tuple[tuple[int, ...], float]], l0: int, dmax:
     )
 
 
-def _worker_count(requested: int | None) -> int:
-    w = 1 if requested is None else int(requested)
-    if w < 1:
-        raise ParameterError(f"worker count must be at least 1, got {w}")
-    env_cap = os.environ.get(THREADS_ENV)
-    if env_cap is not None:
-        try:
-            cap = int(env_cap)
-        except ValueError:
-            raise ParameterError(f"${THREADS_ENV} must be an integer, got {env_cap!r}")
-        if cap < 1:
-            raise ParameterError(f"${THREADS_ENV} must be at least 1, got {cap}")
-        w = min(w, cap)
-    return w
-
-
 def monte_carlo(
     params: EnsembleParams,
     trials: int,
@@ -301,7 +282,6 @@ def monte_carlo(
     filter_on: bool = True,
     workers: int | None = None,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    backend: str | None = None,
 ) -> SimReport:
     """Estimate the average weight distribution and small-distance mass.
 
@@ -315,15 +295,17 @@ def monte_carlo(
         raise ParameterError(f"l0 must be at least 1, got {l0}")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    nworkers = 1 if workers is None else int(workers)
+    if nworkers < 1:
+        raise ParameterError(f"worker count must be at least 1, got {nworkers}")
     field = build_field(params.q)
-    nworkers = _worker_count(workers)
-    which_backend = kernels.active_backend(backend)
+    _require_tables(field, "Monte Carlo enumeration")
 
     def run_slice(t_indices) -> list[tuple[int, tuple[int, ...], float, bool]]:
         out = []
         for t in t_indices:
             sample = sample_code(params, (seed, t), field)
-            enum = enumerate_weights(field, sample.parity_matrix, enum_cap, which_backend)
+            enum = enumerate_weights(field, sample.parity_matrix, enum_cap)
             passed = not has_zero_column(sample.parity_matrix)
             out.append((t, enum.counts, enum.dmin, passed))
         return out
@@ -351,7 +333,6 @@ def monte_carlo(
         alpha=alpha,
         filter_on=filter_on,
         workers=nworkers,
-        backend=which_backend,
         overall=overall,
         filtered=filtered,
     )
@@ -366,7 +347,6 @@ def exhaustive_ensemble(
     params: EnsembleParams,
     config_cap: int = DEFAULT_CONFIG_CAP,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    backend: str | None = None,
 ) -> SpectrumTable:
     """Average the exact weight counts over every ensemble configuration.
 
@@ -380,19 +360,19 @@ def exhaustive_ensemble(
         If the configuration count exceeds config_cap.
     """
     field = build_field(params.q)
+    _require_tables(field, "exhaustive enumeration")
     cn = params.num_sockets
     n_configs = math.factorial(cn) * (params.q - 1) ** cn
     if n_configs > config_cap:
         raise CapacityError(
             f"{n_configs} ensemble configurations exceed the cap {config_cap}"
         )
-    which_backend = kernels.active_backend(backend)
     totals = [0] * (params.n + 1)
     for perm in permutations(range(cn)):
         perm_arr = np.array(perm, np.int64)
         for mult in product(range(1, params.q), repeat=cn):
             h = assemble_parity(params, field, perm_arr, np.array(mult, np.int64))
-            enum = enumerate_weights(field, h, enum_cap, which_backend)
+            enum = enumerate_weights(field, h, enum_cap)
             for l, v in enumerate(enum.counts):
                 totals[l] += v
     values = tuple(Fraction(t, n_configs) for t in totals)

@@ -252,6 +252,46 @@ def test_output_file(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_output_into_missing_directory_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = invoke(
+        capsys, "spectrum", "--q", "2", "--c", "2", "--d", "4", "--n", "2",
+        "--format", "csv", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2
+    assert not target.parent.exists()
+
+
+def test_refused_run_leaves_no_output_file(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    code, _, err = invoke(
+        capsys, "spectrum", "--q", "2", "--c", "3", "--d", "6", "--n", "3000",
+        "--output", str(target))
+    assert code == 3
+    assert json.loads(err)["code"] == 3
+    assert list(tmp_path.iterdir()) == []
+    # an existing file is left as it was
+    target.write_text("previous\n")
+    code, _, _ = invoke(
+        capsys, "spectrum", "--q", "2", "--c", "3", "--d", "6", "--n", "3000",
+        "--output", str(target))
+    assert code == 3
+    assert target.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_simulate_untabled_field_exit_2(capsys):
+    code, out, err = invoke(
+        capsys, "simulate", "--q", "512", "--c", "3", "--d", "6", "--n", "12",
+        "--trials", "2")
+    assert code == 2
+    assert out == ""
+    body = json.loads(err)
+    assert body["code"] == 2
+    assert "512" in body["message"]
+
+
 def test_unknown_arguments_exit_2(capsys):
     code, _, err = invoke(capsys, "spectrum", "--q", "2")
     assert code == 2

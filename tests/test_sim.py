@@ -22,7 +22,7 @@ from ldpc_spectra import (
     sample_code,
 )
 from ldpc_spectra.cli import _report_data
-from ldpc_spectra.sim import THREADS_ENV, dmin_le_2
+from ldpc_spectra.sim import dmin_le_2
 
 
 def rebuild_parity(params, field, permutation, multipliers):
@@ -163,16 +163,6 @@ def test_monte_carlo_worker_invariance():
     assert payloads[0] == payloads[1] == payloads[2]
 
 
-def test_monte_carlo_thread_env_cap(monkeypatch):
-    params = EnsembleParams(q=2, c=2, d=4, n=2)
-    monkeypatch.setenv(THREADS_ENV, "2")
-    report = monte_carlo(params, trials=8, seed=0, workers=16)
-    assert report.workers == 2
-    monkeypatch.setenv(THREADS_ENV, "zero")
-    with pytest.raises(ParameterError):
-        monte_carlo(params, trials=8, seed=0)
-
-
 def test_monte_carlo_zero_column_filter():
     # c = 2 over GF(2) can cancel a variable's two edges inside one check
     params = EnsembleParams(q=2, c=2, d=4, n=8)
@@ -199,6 +189,17 @@ def test_monte_carlo_argument_validation():
         monte_carlo(params, trials=4, seed=0, l0=0)
     with pytest.raises(ParameterError):
         monte_carlo(params, trials=4, seed=0, workers=0)
+
+
+def test_untabled_extension_field_rejected():
+    # GF(512) has no operation tables, so its multipliers cannot be added
+    params = EnsembleParams(q=512, c=3, d=6, n=12)
+    with pytest.raises(ParameterError):
+        sample_code(params, 0)
+    with pytest.raises(ParameterError):
+        monte_carlo(params, trials=2, seed=0)
+    with pytest.raises(ParameterError):
+        exhaustive_ensemble(EnsembleParams(q=512, c=1, d=1, n=1))
 
 
 def test_small_weight_scarcity_decays():
