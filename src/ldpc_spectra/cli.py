@@ -343,6 +343,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _cmd_gv_limit(args, out) -> None:
     d_list = _parse_int_list(args.d_list, "--d-list")
+    gv = growth.gv_threshold(args.q, args.redundancy)
     rows = []
     for d in d_list:
         c_exact = args.redundancy * d
@@ -356,7 +357,6 @@ def _cmd_gv_limit(args, out) -> None:
             raise ParameterError(
                 f"ensemble (q={args.q}, c={c}, d={d}) has no typical-distance landmark"
             )
-        gv = growth.gv_threshold(args.q, args.redundancy)
         rows.append((d, c, marks.x0, gv, gv - marks.x0))
     if args.format == "csv":
         emit_csv(

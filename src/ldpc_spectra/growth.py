@@ -12,11 +12,13 @@ infimum over a tilt parameter of a single-check exponent:
     rho(xhat) = ln(1 + (q-1) * zhat**d),      zhat = 1 - q*xhat/(q-1).
 
 The infimum is attained where a strictly increasing rational map zeta of
-the tilt equals z = 1 - q*x/(q-1); that stationary condition is solved by
-bisection.  Extended reals are first class here: delta and omega take the
-value -inf on the unreachable weight range that appears for q = 2 and odd
-d, and one-sided derivative limits at the domain endpoints are returned
-as +/-inf where the slope diverges.
+the tilt equals z = 1 - q*x/(q-1).  Bisection inverts x -> tilt for the
+curves; the landmarks are single roots in the tilt t, whose weight
+x(t) = (q-1)(1 - zeta(t))/q, omega and slope are closed forms in t
+(Burshtein & Miller 2004; Di, Richardson & Urbanke 2006).  Extended reals
+are first class: delta and omega are -inf on the unreachable weight range
+of q = 2 with odd d, and one-sided endpoint slopes are +/-inf where they
+diverge.
 
 All logs are natural; x is the normalized weight in [0, 1].
 """
@@ -31,10 +33,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, ParameterError
 from .gf import ORDER_LIMIT, _factor_prime_power
-
-# Default absolute tolerance and iteration cap for bisection solves.
-BISECT_TOL = 1e-12
-BISECT_MAXIT = 200
+from .kernels import BISECT_MAXIT, BISECT_TOL, powi
 # Width of the bands around x = 0 and x = x1 inside which evaluation
 # returns the analytic endpoint/limit values instead of solving.
 ENDPOINT_BAND = 1e-8
@@ -93,15 +92,6 @@ def divergence(x: float, y: float) -> float:
     return out
 
 
-def _powi(t: float, e: int) -> float:
-    # Repeated multiplication, so scalar zeta agrees with the batch solver
-    # in kernels bit for bit.
-    out = t
-    for _ in range(e - 1):
-        out *= t
-    return 1.0 if e == 0 else out
-
-
 def rho(q: int, d: int, x: float) -> float:
     """Single-check log moment at tilt x: ln(1 + (q-1) z**d), z = 1 - qx/(q-1).
 
@@ -113,7 +103,7 @@ def rho(q: int, d: int, x: float) -> float:
         raise ParameterError(f"check degree must be at least 1, got {d}")
     _check_x(x)
     z = 1.0 - q * x / (q - 1.0)
-    arg = 1.0 + (q - 1.0) * _powi(z, d)
+    arg = 1.0 + (q - 1.0) * powi(z, d)
     if arg <= 0.0:
         return -INF
     return math.log(arg)
@@ -131,13 +121,7 @@ def zeta(q: int, d: int, zhat: float) -> float:
     lo = -1.0 / (q - 1.0)
     if not lo - 1e-12 <= zhat <= 1.0 + 1e-12:
         raise DomainError(f"tilt {zhat} outside [{lo}, 1]")
-    if q == 2 and d % 2 == 1 and zhat == -1.0:
-        return 2.0 / d - 1.0
-    tp = _powi(zhat, d - 1)
-    td = tp * zhat
-    num = zhat + tp + (q - 2.0) * td
-    den = 1.0 + (q - 1.0) * td
-    return num / den
+    return float(kernels.zeta(q, d, np.float64(zhat)))
 
 
 def z_left_endpoint(q: int, d: int) -> float:
@@ -158,14 +142,12 @@ def x1_right_endpoint(q: int, d: int) -> float:
     return 1.0
 
 
-def solve_zhat1(
-    q: int, d: int, z: float, tol: float = BISECT_TOL, maxit: int = BISECT_MAXIT
-) -> float:
+def solve_zhat1(q: int, d: int, z: float) -> float:
     """Invert zeta: the unique tilt zhat1 in [-1/(q-1), 1] with zeta(zhat1) = z.
 
     Raises DomainError when z lies below the left endpoint of zeta's range
-    (no tilt reaches it).  The returned root is clamped into the open
-    bracket by tol/2 so downstream logs stay finite.
+    (no tilt reaches it).  An interior root is clamped into the open
+    bracket by BISECT_TOL/2 so downstream logs stay finite.
     """
     _check_q(q)
     _check_d(d)
@@ -176,19 +158,15 @@ def solve_zhat1(
         return 1.0
     if z == 0.0:
         return 0.0
-    lo = -1.0 / (q - 1.0)
     if z <= z1:
-        return lo
-    root = kernels.solve_zhat_batch(
-        q, d, np.array([z], np.float64), lo, 1.0, tol, maxit
-    )[0]
-    return float(min(max(root, lo + tol / 2), 1.0 - tol / 2))
+        return -1.0 / (q - 1.0)
+    return float(_solve_zhat_grid(q, d, np.array([z], np.float64))[0])
 
 
-def _solve_zhat_grid(q: int, d: int, z: np.ndarray, tol: float = BISECT_TOL) -> np.ndarray:
+def _solve_zhat_grid(q: int, d: int, z: np.ndarray) -> np.ndarray:
     lo = -1.0 / (q - 1.0)
-    roots = kernels.solve_zhat_batch(q, d, z, lo, 1.0, tol, BISECT_MAXIT)
-    return np.clip(roots, lo + tol / 2, 1.0 - tol / 2)
+    roots = kernels.solve_zhat_batch(q, d, z)
+    return np.clip(roots, lo + BISECT_TOL / 2, 1.0 - BISECT_TOL / 2)
 
 
 def delta_two_arg(q: int, d: int, x: float, xhat: float) -> float:
@@ -231,13 +209,30 @@ def _divergence_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _powi_vec(t: np.ndarray, e: int) -> np.ndarray:
-    if e == 0:
-        return np.ones_like(t)
-    out = t.copy()
-    for _ in range(e - 1):
-        out = out * t
-    return out
+# Closed forms at a tilt t stationary for the weight x.  The curves pass
+# tilts solved from x, the landmarks pass x = x(t).
+
+
+def _tilt_weight(q: int, d: int, t):
+    return (q - 1.0) * (1.0 - kernels.zeta(q, d, t)) / q
+
+
+def _tilt_delta(q: int, d: int, x: np.ndarray, t: np.ndarray):
+    qm1 = q - 1.0
+    xhat = (qm1 / q) * (1.0 - t)
+    return d * _divergence_vec(x, xhat) + np.log(1.0 + qm1 * powi(t, d)), xhat
+
+
+def _tilt_omega(q: int, c: int, d: int, x: np.ndarray, dval: np.ndarray) -> np.ndarray:
+    return _entropy_vec(x, q) + (c / d) * (dval - math.log(q))
+
+
+def _tilt_domega(q: int, c: int, d: int, t):
+    qm1 = q - 1.0
+    td1 = powi(t, d - 1)
+    return np.log((1.0 + qm1 * t) / (1.0 - t)) + (c - 1) * np.log(
+        (1.0 - td1) / (1.0 + qm1 * td1)
+    )
 
 
 def _region_masks(q: int, d: int, x: np.ndarray):
@@ -249,7 +244,7 @@ def _region_masks(q: int, d: int, x: np.ndarray):
     return near0, near1, beyond, interior
 
 
-def _delta_grid(q: int, d: int, x: np.ndarray, tol: float = BISECT_TOL):
+def _delta_grid(q: int, d: int, x: np.ndarray):
     """Vector delta evaluation: returns (value, zhat1, xhat1, z) arrays."""
     qm1 = q - 1.0
     z = 1.0 - q * x / qm1
@@ -276,13 +271,9 @@ def _delta_grid(q: int, d: int, x: np.ndarray, tol: float = BISECT_TOL):
         xh[near1] = 1.0
 
     if interior.any():
-        zi = _solve_zhat_grid(q, d, z[interior], tol)
-        xi_ = (qm1 / q) * (1.0 - zi)
-        zd = _powi_vec(zi, d)
-        rho_i = np.log(1.0 + qm1 * zd)
-        value[interior] = d * _divergence_vec(x[interior], xi_) + rho_i
+        zi = _solve_zhat_grid(q, d, z[interior])
+        value[interior], xh[interior] = _tilt_delta(q, d, x[interior], zi)
         zh[interior] = zi
-        xh[interior] = xi_
     return value, zh, xh, z
 
 
@@ -304,22 +295,17 @@ def _domega_limit_x1(q: int, c: int, d: int) -> float:
     return -INF
 
 
-def _omega_grid(q: int, c: int, d: int, x: np.ndarray, tol: float = BISECT_TOL):
+def _omega_grid(q: int, c: int, d: int, x: np.ndarray):
     """Vector omega evaluation: returns (omega, domega) arrays."""
-    dval, zh, _, _ = _delta_grid(q, d, x, tol)
-    om = _entropy_vec(x, q) + (c / d) * (dval - math.log(q))
+    dval, zh, _, _ = _delta_grid(q, d, x)
+    om = _tilt_omega(q, c, d, x, dval)
     dom = np.empty_like(x)
     near0, near1, beyond, interior = _region_masks(q, d, x)
     dom[near0] = _domega_limit_zero(q, c, d)
     dom[near1] = _domega_limit_x1(q, c, d)
     dom[beyond] = math.nan
     if interior.any():
-        qm1 = q - 1.0
-        zi = zh[interior]
-        zd1 = _powi_vec(zi, d - 1)
-        dom[interior] = np.log((1.0 + qm1 * zi) / (1.0 - zi)) + (c - 1) * np.log(
-            (1.0 - zd1) / (1.0 + qm1 * zd1)
-        )
+        dom[interior] = _tilt_domega(q, c, d, zh[interior])
     return om, dom
 
 
@@ -353,7 +339,7 @@ class GrowthPoint:
     domega: float
 
 
-def delta(q: int, d: int, x: float, tol: float = BISECT_TOL) -> DeltaEval:
+def delta(q: int, d: int, x: float) -> DeltaEval:
     """Evaluate the inner infimum delta(x) with its minimizer.
 
     Within 1e-8 of x = 0 or of the right endpoint x1 the analytic
@@ -363,22 +349,22 @@ def delta(q: int, d: int, x: float, tol: float = BISECT_TOL) -> DeltaEval:
     _check_d(d)
     _check_x(x)
     xs = np.array([x], np.float64)
-    value, zh, xh, z = _delta_grid(q, d, xs, tol)
+    value, zh, xh, z = _delta_grid(q, d, xs)
     return DeltaEval(x=x, z=float(z[0]), zhat1=float(zh[0]), xhat1=float(xh[0]), value=float(value[0]))
 
 
-def omega(q: int, c: int, d: int, x: float, tol: float = BISECT_TOL) -> GrowthPoint:
+def omega(q: int, c: int, d: int, x: float) -> GrowthPoint:
     """Growth rate omega(x) = H_q(x) + (c/d) (delta(x) - ln q), with derivative."""
     _check_q(q)
     _check_c(c)
     _check_d(d)
     _check_x(x)
     xs = np.array([x], np.float64)
-    om, dom = _omega_grid(q, c, d, xs, tol)
+    om, dom = _omega_grid(q, c, d, xs)
     return GrowthPoint(x=x, omega=float(om[0]), domega=float(dom[0]))
 
 
-def domega(q: int, c: int, d: int, x: float, tol: float = BISECT_TOL) -> float:
+def domega(q: int, c: int, d: int, x: float) -> float:
     """Derivative of the growth rate in the tilt form.
 
     d omega/dx = ln[(1 + (q-1) zhat1)/(1 - zhat1)]
@@ -387,10 +373,10 @@ def domega(q: int, c: int, d: int, x: float, tol: float = BISECT_TOL) -> float:
     At x = 0 and x = x1 the one-sided limits are returned (extended reals);
     beyond x1, where omega is identically -inf, the result is nan.
     """
-    return omega(q, c, d, x, tol).domega
+    return omega(q, c, d, x).domega
 
 
-def domega_alt(q: int, c: int, d: int, x: float, tol: float = BISECT_TOL) -> float:
+def domega_alt(q: int, c: int, d: int, x: float) -> float:
     """Derivative of the growth rate in the weight form (equal to domega).
 
     d omega/dx = ln[(x/(1-x))**(c-1) * ((1-xhat1)/xhat1)**c] + ln(q-1).
@@ -400,7 +386,7 @@ def domega_alt(q: int, c: int, d: int, x: float, tol: float = BISECT_TOL) -> flo
     x1 = x1_right_endpoint(q, d)
     if not ENDPOINT_BAND <= x <= x1 - ENDPOINT_BAND:
         raise DomainError(f"weight-form derivative needs x inside ({ENDPOINT_BAND}, {x1 - ENDPOINT_BAND})")
-    xh = delta(q, d, x, tol).xhat1
+    xh = delta(q, d, x).xhat1
     return (
         (c - 1) * math.log(x / (1.0 - x))
         + c * math.log((1.0 - xh) / xh)
@@ -408,7 +394,7 @@ def domega_alt(q: int, c: int, d: int, x: float, tol: float = BISECT_TOL) -> flo
     )
 
 
-def omega_curve(q: int, c: int, d: int, xs, tol: float = BISECT_TOL):
+def omega_curve(q: int, c: int, d: int, xs):
     """Vectorized omega and its derivative over an array of weights in [0, 1]."""
     _check_q(q)
     _check_c(c)
@@ -416,17 +402,17 @@ def omega_curve(q: int, c: int, d: int, xs, tol: float = BISECT_TOL):
     xs = np.ascontiguousarray(xs, np.float64)
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise DomainError("weights must lie in [0, 1]")
-    return _omega_grid(q, c, d, xs, tol)
+    return _omega_grid(q, c, d, xs)
 
 
-def delta_curve(q: int, d: int, xs, tol: float = BISECT_TOL):
+def delta_curve(q: int, d: int, xs):
     """Vectorized delta over an array of weights: (value, zhat1, xhat1) arrays."""
     _check_q(q)
     _check_d(d)
     xs = np.ascontiguousarray(xs, np.float64)
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise DomainError("weights must lie in [0, 1]")
-    value, zh, xh, _ = _delta_grid(q, d, xs, tol)
+    value, zh, xh, _ = _delta_grid(q, d, xs)
     return value, zh, xh
 
 
@@ -493,7 +479,7 @@ class Landmarks:
     zhat2_neg: float | None
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 0.0, maxit: int = BISECT_MAXIT) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -502,9 +488,9 @@ def _bisect(f, lo: float, hi: float, tol: float = 0.0, maxit: int = BISECT_MAXIT
         return hi
     if (flo < 0.0) == (fhi < 0.0):
         raise DomainError(f"bisection bracket [{lo}, {hi}] does not change sign")
-    for _ in range(maxit):
+    for _ in range(BISECT_MAXIT):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or (hi - lo) <= tol:
+        if mid == lo or mid == hi:
             break
         fm = f(mid)
         if fm == 0.0:
@@ -516,18 +502,19 @@ def _bisect(f, lo: float, hi: float, tol: float = 0.0, maxit: int = BISECT_MAXIT
     return 0.5 * (lo + hi)
 
 
-def landmarks(q: int, c: int, d: int, tol: float = BISECT_TOL) -> Landmarks:
+def landmarks(q: int, c: int, d: int) -> Landmarks:
     """Locate the landmark weights of omega for one ensemble.
 
-    Bisection solves run to the floating point floor (within the iteration
-    cap), well inside the advertised absolute tolerance.
+    Each landmark is one bisection root in the tilt t, run to the floating
+    point floor, with weight x(t) = (q-1)(1 - zeta(t))/q falling from
+    1 - 1/q to 0 over t in [0, 1]: zhat2 is a root of xi, t3 of omega'(t)
+    on (0, 1), and t0 of omega(t) on (0, t3).
     """
     _check_q(q)
     _check_c(c)
     _check_d(d)
     if c > d:
         raise ParameterError(f"variable degree c = {c} exceeds check degree d = {d}")
-    x_sym = (q - 1.0) / q
     x1 = x1_right_endpoint(q, d)
     zhat2 = None
     zhat2_neg = None
@@ -547,19 +534,25 @@ def landmarks(q: int, c: int, d: int, tol: float = BISECT_TOL) -> Landmarks:
             else:
                 # xi(1) = 0 exactly when c = 2: the flip degenerates to the edge.
                 zhat2 = 1.0
-        x2 = (q - 1.0) * (1.0 - zeta(q, d, zhat2)) / q
+        x2 = float(_tilt_weight(q, d, zhat2))
 
     if q == 2 and d % 2 == 0 and c >= 3:
         zhat2_neg = _bisect(lambda t: xi(q, c, d, t), -1.0 + 1e-12, -1e-12)
 
     if c >= 3:
-        dom_f = lambda t: omega(q, c, d, t, tol).domega
-        x3 = _bisect(dom_f, 1e-6, x_sym - 1e-6)
+        # omega'(t) > 0 on (0, t3), -> -inf as t -> 1, and 0 at the peak t = 0.
+        t3 = _bisect(lambda t: _tilt_domega(q, c, d, t), 1e-6, 1.0 - 1e-12)
+        x3 = float(_tilt_weight(q, d, t3))
         if c == d:
-            x0 = x_sym
+            x0 = (q - 1.0) / q
         else:
-            om_f = lambda t: omega(q, c, d, t, tol).omega
-            x0 = _bisect(om_f, x3, x_sym)
+            # omega(0) = (1 - c/d) ln q > 0 and omega(t3) < 0.
+            def omega_at(t: float) -> float:
+                ts = np.array([t])
+                xs = _tilt_weight(q, d, ts)
+                return _tilt_omega(q, c, d, xs, _tilt_delta(q, d, xs, ts)[0])[0]
+
+            x0 = float(_tilt_weight(q, d, _bisect(omega_at, 0.0, t3)))
 
     return Landmarks(
         q=q, c=c, d=d, x1=x1, x0=x0, x2=x2, x3=x3, zhat2=zhat2, zhat2_neg=zhat2_neg

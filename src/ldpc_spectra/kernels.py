@@ -1,8 +1,5 @@
-"""Hot numerical kernels in numpy.
-
-Two kernels live here because they dominate runtime: counting Hamming
-weights over all linear combinations of a kernel basis, and batched
-bisection for the tilt parameter used by the growth-rate evaluator.
+"""Numpy kernels: Hamming weight counts over all combinations of a basis
+(sim), and the tilt map zeta with its batched bisection inverse (growth).
 """
 
 from __future__ import annotations
@@ -65,20 +62,29 @@ def count_weights(basis, q, add_table, mul_table):
 
 
 # ---------------------------------------------------------------------------
-# Kernel 2: batched bisection for the tilt parameter
+# Kernel 2: the tilt map zeta and its batched inverse
 # ---------------------------------------------------------------------------
-#
-# The target function is the strictly increasing rational map
-#   f(t) = (t + t**(d-1) + (q-2) t**d) / (1 + (q-1) t**d)
-# on [-1/(q-1), 1].  For q = 2 and odd d it extends continuously to
-# f(-1) = 2/d - 1.  Powers are computed by repeated multiplication, as in
-# the scalar growth.zeta, so scalar and batched values match bit for bit.
+
+# Bracket width at which a bisection may stop, and its iteration cap.
+BISECT_TOL = 1e-12
+BISECT_MAXIT = 200
 
 
-def _zeta(q, d, t):
-    tp = t.copy()
-    for _ in range(d - 2):
-        tp = tp * t
+def powi(t, e):
+    """t**e, e >= 1, by repeated multiplication: bit-equal for floats and arrays."""
+    out = t
+    for _ in range(e - 1):
+        out = out * t
+    return out
+
+
+def zeta(q, d, t):
+    """(t + t**(d-1) + (q-2) t**d) / (1 + (q-1) t**d) for numpy floats or arrays.
+
+    Strictly increasing on [-1/(q-1), 1]; for q = 2 and odd d the 0/0 at
+    t = -1 takes its continuous extension 2/d - 1.
+    """
+    tp = powi(t, d - 1)
     td = tp * t
     num = t + tp + (q - 2.0) * td
     den = 1.0 + (q - 1.0) * td
@@ -89,22 +95,21 @@ def _zeta(q, d, t):
     return out
 
 
-def solve_zhat_batch(q, d, z, lo, hi, tol, maxit):
-    """Solve f(t) = z[i] elementwise on the bracket [lo, hi] by bisection.
+def solve_zhat_batch(q, d, z):
+    """Solve zeta(t) = z[i] elementwise for t in [-1/(q-1), 1] by bisection.
 
-    Stops per element when the bracket width reaches tol or the floating
-    point floor, whichever comes first, capped at maxit iterations.
+    Each element stops at bracket width BISECT_TOL or the floating point
+    floor, within BISECT_MAXIT iterations.
     """
     z = np.ascontiguousarray(z, np.float64)
-    lo = np.full(z.shape, float(lo), np.float64)
-    hi = np.full(z.shape, float(hi), np.float64)
-    tol = float(tol)
-    for _ in range(maxit):
+    lo = np.full(z.shape, -1.0 / (q - 1.0), np.float64)
+    hi = np.ones(z.shape, np.float64)
+    for _ in range(BISECT_MAXIT):
         mid = 0.5 * (lo + hi)
-        active = ~((mid == lo) | (mid == hi) | ((hi - lo) <= tol))
+        active = ~((mid == lo) | (mid == hi) | ((hi - lo) <= BISECT_TOL))
         if not active.any():
             break
-        fv = _zeta(q, d, mid)
+        fv = zeta(q, d, mid)
         below = (fv < z) & active
         lo = np.where(below, mid, lo)
         hi = np.where(~below & active, mid, hi)

@@ -371,7 +371,7 @@ def test_xi_positive_for_binary_c2():
 
 
 def test_landmark_residuals_and_ordering():
-    for q, c, d in [(2, 3, 6), (2, 4, 8), (3, 3, 6), (2, 3, 5)]:
+    for q, c, d in [(2, 3, 6), (2, 4, 8), (3, 3, 6), (2, 3, 5), (2, 24, 48)]:
         lm = landmarks(q, c, d)
         assert abs(omega(q, c, d, lm.x0).omega) < 1e-10
         assert abs(domega(q, c, d, lm.x3)) < 1e-10
@@ -379,6 +379,45 @@ def test_landmark_residuals_and_ordering():
         assert 0 < lm.x3 < lm.x2 < 1 - 1 / q
         assert lm.x3 < lm.x0 <= 1 - 1 / q
         assert lm.x1 == x1_right_endpoint(q, d)
+
+
+def _bisect_to_floor(f, lo, hi):
+    flo = f(lo)
+    assert (flo < 0.0) != (f(hi) < 0.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+
+
+def nested_landmarks(q, c, d):
+    # the former solve, kept as the reference: bisection in x on omega and
+    # its slope, each evaluation running its own tilt bisection
+    x_sym = (q - 1) / q
+    x3 = _bisect_to_floor(lambda x: omega(q, c, d, x).domega, 1e-6, x_sym - 1e-6)
+    if c == d:
+        return x3, x_sym
+    return x3, _bisect_to_floor(lambda x: omega(q, c, d, x).omega, x3, x_sym)
+
+
+@pytest.mark.parametrize("q, c, d", [
+    (2, 3, 6), (2, 4, 8), (2, 24, 48), (2, 3, 48),  # binary, d up to 48
+    (2, 3, 5), (2, 5, 9),                            # binary, odd d
+    (2, 3, 3), (3, 6, 6),                            # c = d
+    (3, 3, 6), (4, 3, 5), (8, 4, 12), (256, 3, 6),
+])
+def test_landmarks_match_nested_solve(q, c, d):
+    lm = landmarks(q, c, d)
+    x3, x0 = nested_landmarks(q, c, d)
+    assert abs(lm.x3 - x3) <= 1e-11
+    assert abs(lm.x0 - x0) <= 1e-11
 
 
 def test_landmark_x0_against_grid_scan():

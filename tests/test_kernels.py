@@ -72,12 +72,11 @@ def test_count_weights_matches_digit_decoder():
 
 def test_solve_batch_solves():
     for q, d in ((2, 5), (2, 6), (3, 6), (4, 4)):
-        lo = -1.0 / (q - 1)
         z = np.linspace(z_left_endpoint(q, d) + 1e-6, 1.0 - 1e-6, 257)
-        got = solve_zhat_batch(q, d, z, lo, 1.0, 1e-12, 200)
+        got = solve_zhat_batch(q, d, z)
         for zi, zh in zip(z, got):
             assert abs(zeta(q, d, float(zh)) - zi) < 1e-10
         # each element's bisection is independent of the rest of the batch
         for i in (0, 128, 256):
-            single = solve_zhat_batch(q, d, z[i:i + 1], lo, 1.0, 1e-12, 200)
+            single = solve_zhat_batch(q, d, z[i:i + 1])
             assert single[0] == got[i], (q, d, i)
