@@ -46,6 +46,28 @@ def float_token(x: float) -> str:
     return repr(float(x))
 
 
+# Digits per chunk of digit_string: below 640, the smallest nonzero limit
+# sys.set_int_max_str_digits accepts, so str() of a chunk never refuses.
+_DIGIT_CHUNK = 600
+_CHUNK_BASE = 10**_DIGIT_CHUNK
+
+
+def digit_string(value: int) -> str:
+    """Decimal digits of a nonnegative integer of any length.
+
+    str() refuses integers longer than the interpreter's digit limit
+    (sys.get_int_max_str_digits, 4300 digits by default), which exact
+    spectra pass at moderate n.  This peels off fixed-width chunks with
+    divmod instead, which leaves the limit alone.
+    """
+    chunks = []
+    while value >= _CHUNK_BASE:
+        value, low = divmod(value, _CHUNK_BASE)
+        chunks.append(f"{low:0{_DIGIT_CHUNK}d}")
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
+
+
 def jsonable(value):
     """Map a result value onto JSON-encodable structures.
 
@@ -54,8 +76,8 @@ def jsonable(value):
     """
     if isinstance(value, Fraction):
         return {
-            "numerator": str(value.numerator),
-            "denominator": str(value.denominator),
+            "numerator": digit_string(value.numerator),
+            "denominator": digit_string(value.denominator),
             "approx": jsonable(fraction_to_float(value)),
         }
     if isinstance(value, float):
@@ -132,8 +154,8 @@ def _write_output(path: str | None, text: str) -> None:
 def _fraction_row(l: int, value: Fraction) -> list[str]:
     return [
         str(l),
-        str(value.numerator),
-        str(value.denominator),
+        digit_string(value.numerator),
+        digit_string(value.denominator),
         float_token(fraction_to_float(value)),
     ]
 
@@ -381,10 +403,7 @@ def _cmd_small_weight(args, out) -> None:
     n_list = _parse_int_list(args.n_list, "--n-list")
     report = spectrum.small_weight_scaling(args.q, args.c, args.d, args.l, n_list)
     if args.format == "csv":
-        rows = [
-            [str(n), str(v.numerator), str(v.denominator), float_token(fraction_to_float(v))]
-            for n, v in zip(report.n_list, report.values)
-        ]
+        rows = [_fraction_row(n, v) for n, v in zip(report.n_list, report.values)]
         emit_csv(["n", "numerator", "denominator", "approx"], rows, out)
     else:
         data = {

@@ -447,10 +447,13 @@ def xi_coefficients(q: int, c: int, d: int) -> list[int]:
 
 def xi(q: int, c: int, d: int, zhat: float) -> float:
     """Evaluate the curvature sign polynomial at a tilt value."""
-    coef = xi_coefficients(q, c, d)
+    return _horner(xi_coefficients(q, c, d), zhat)
+
+
+def _horner(coef: list[int], t: float) -> float:
     out = 0.0
     for a in reversed(coef):
-        out = out * zhat + a
+        out = out * t + a
     return out
 
 
@@ -522,9 +525,10 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
     x3 = None
     x0 = None
 
+    coef = xi_coefficients(q, c, d)
+    poly = lambda t: _horner(coef, t)
     wants_x2 = c >= 3 or (c == 2 and q >= 3)
     if wants_x2:
-        poly = lambda t: xi(q, c, d, t)
         if c >= 3:
             zhat2 = _bisect(poly, 1e-12, 1.0 - 1e-12)
         else:
@@ -537,7 +541,7 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
         x2 = float(_tilt_weight(q, d, zhat2))
 
     if q == 2 and d % 2 == 0 and c >= 3:
-        zhat2_neg = _bisect(lambda t: xi(q, c, d, t), -1.0 + 1e-12, -1e-12)
+        zhat2_neg = _bisect(poly, -1.0 + 1e-12, -1e-12)
 
     if c >= 3:
         # omega'(t) > 0 on (0, t3), -> -inf as t -> 1, and 0 at the peak t = 0.

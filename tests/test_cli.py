@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 from ldpc_spectra import (
@@ -16,6 +17,7 @@ from ldpc_spectra import (
     small_weight_scaling,
 )
 from ldpc_spectra.cli import figure_data, run
+from ldpc_spectra.spectrum import DEFAULT_N_CAP
 
 
 def invoke(capsys, *argv):
@@ -265,8 +267,9 @@ def test_output_into_missing_directory_exit_2(tmp_path, capsys):
 
 def test_refused_run_leaves_no_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
+    over_cap = str(DEFAULT_N_CAP + 1000)
     code, _, err = invoke(
-        capsys, "spectrum", "--q", "2", "--c", "3", "--d", "6", "--n", "3000",
+        capsys, "spectrum", "--q", "2", "--c", "3", "--d", "6", "--n", over_cap,
         "--output", str(target))
     assert code == 3
     assert json.loads(err)["code"] == 3
@@ -274,11 +277,66 @@ def test_refused_run_leaves_no_output_file(tmp_path, capsys):
     # an existing file is left as it was
     target.write_text("previous\n")
     code, _, _ = invoke(
-        capsys, "spectrum", "--q", "2", "--c", "3", "--d", "6", "--n", "3000",
+        capsys, "spectrum", "--q", "2", "--c", "3", "--d", "6", "--n", over_cap,
         "--output", str(target))
     assert code == 3
     assert target.read_text() == "previous\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def parse_digits(text):
+    # int() refuses strings past the interpreter's digit limit, so parse
+    # in chunks that stay below it.
+    value = 0
+    for start in range(0, len(text), 500):
+        chunk = text[start:start + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_spectrum_past_int_digit_limit(capsys):
+    # Numerators and denominators here run to ~5500 digits, past the
+    # default limit of 4300 that str(int) enforces.
+    limit = sys.get_int_max_str_digits()
+    argv = ("spectrum", "--q", "256", "--c", "6", "--d", "12", "--n", "400")
+    exact = list(avg_weight_distribution(EnsembleParams(q=256, c=6, d=12, n=400)).values)
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    rows = json.loads(out)["data"]["spectrum"]
+    assert max(len(row["denominator"]) for row in rows) > 4300
+    got = [
+        Fraction(parse_digits(row["numerator"]), parse_digits(row["denominator"]))
+        for row in rows
+    ]
+    assert got == exact
+    code, out, err = invoke(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    header, rows = parse_csv(out)
+    assert header == ["l", "numerator", "denominator", "approx"]
+    got = [Fraction(parse_digits(row[1]), parse_digits(row[2])) for row in rows]
+    assert got == exact
+
+
+def test_small_weight_past_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    argv = ("small-weight", "--q", "256", "--c", "6", "--d", "12", "--l", "400",
+            "--n-list", "400,420,440")
+    exact = small_weight_scaling(256, 6, 12, 400, [400, 420, 440]).values
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    points = json.loads(out)["data"]["points"]
+    assert max(len(p["denominator"]) for p in points) > 4300
+    got = [Fraction(parse_digits(p["numerator"]), parse_digits(p["denominator"]))
+           for p in points]
+    assert got == list(exact)
+    code, out, err = invoke(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    _, rows = parse_csv(out)
+    assert [Fraction(parse_digits(r[1]), parse_digits(r[2])) for r in rows] == list(exact)
 
 
 def test_simulate_untabled_field_exit_2(capsys):

@@ -2,7 +2,8 @@
 
 The recurrence pipeline is checked against an independent oracle that
 expands the check-node generating polynomial by repeated convolution of
-exact rationals.
+exact rationals, against the former per-check integer convolution, and
+against the math.comb form of the ensemble average.
 """
 
 from __future__ import annotations
@@ -60,6 +61,35 @@ def oracle_average(q, c, d, n):
     return vals
 
 
+def convolution_coeffs(q, d, big_n, max_m):
+    # The former check_coeffs: one truncated convolution with the
+    # single-check polynomial per check, O(N*M*d) big-integer operations.
+    terms = [(i, b) for i, b in enumerate(single_check_coeffs(q, d)) if b != 0]
+    row = [0] * (max_m + 1)
+    row[0] = 1
+    for _ in range(big_n):
+        new = [0] * (max_m + 1)
+        for m in range(max_m + 1):
+            acc = 0
+            for i, b in terms:
+                if i > m:
+                    break
+                prev = row[m - i]
+                if prev:
+                    acc += b * prev
+            new[m] = acc
+        row = new
+    return row
+
+
+def comb_average(params, coeffs, l):
+    # E[A(l)] with every binomial and power computed afresh by math.comb.
+    q, c, n = params.q, params.c, params.n
+    numerator = math.comb(n, l) * coeffs[c * l]
+    denominator = math.comb(c * n, c * l) * (q - 1) ** ((c - 1) * l)
+    return Fraction(numerator, denominator)
+
+
 def test_params_validation():
     EnsembleParams(q=2, c=3, d=6, n=12)
     with pytest.raises(ParameterError):
@@ -95,6 +125,19 @@ def test_check_coeffs_match_polynomial_oracle():
                 got = check_coeffs(q, d, big_n, max_m).coeffs
                 want = oracle_coeffs(q, d, big_n, max_m)
                 assert [Fraction(v) for v in got] == want, (q, d, big_n)
+
+
+def test_check_coeffs_match_convolution():
+    # A truncated convolution gives the prefix of the full one, so one
+    # reference row per (q, d, N) serves every M.
+    for q in (2, 3, 4, 5, 7, 8, 16, 256):
+        for d in range(1, 9):
+            for big_n in (0, 1, 2, 5, 13, 60):
+                full = big_n * d
+                want = convolution_coeffs(q, d, big_n, full + 4)
+                for max_m in {0, 3, max(full - 1, 0), full, full + 4}:
+                    got = check_coeffs(q, d, big_n, max_m).coeffs
+                    assert list(got) == want[: max_m + 1], (q, d, big_n, max_m)
 
 
 def test_weight_two_closed_form():
@@ -150,10 +193,22 @@ def test_degree_one_checks_pin_everything():
 
 
 def test_avg_weight_at_consistent_with_table():
-    params = EnsembleParams(q=3, c=2, d=3, n=9)
-    table = avg_weight_distribution(params)
-    for l in range(10):
-        assert avg_weight_at(params, l) == table.values[l]
+    # c = 1, d = 1 and q = 256 next to a generic ensemble
+    for q, c, d, n in [(3, 2, 3, 9), (5, 1, 4, 24), (3, 2, 1, 12), (256, 3, 6, 40)]:
+        params = EnsembleParams(q=q, c=c, d=d, n=n)
+        table = avg_weight_distribution(params)
+        for l in range(n + 1):
+            assert avg_weight_at(params, l) == table.values[l], (q, c, d, n, l)
+
+
+def test_incremental_assembly_matches_comb_formula():
+    for q, c, d, n in [
+        (2, 3, 6, 600), (4, 3, 6, 600), (3, 3, 2, 200), (5, 1, 3, 9), (3, 2, 1, 4),
+    ]:
+        params = EnsembleParams(q=q, c=c, d=d, n=n)
+        coeffs = check_coeffs(q, d, params.num_checks, params.num_sockets).coeffs
+        want = [comb_average(params, coeffs, l) for l in range(n + 1)]
+        assert list(avg_weight_distribution(params).values) == want, (q, c, d, n)
 
 
 def test_d2_closed_form_equals_recurrence():
@@ -165,6 +220,12 @@ def test_d2_closed_form_equals_recurrence():
                 params = EnsembleParams(q=q, c=c, d=2, n=n)
                 assert avg_weight_d2(params).values == \
                     avg_weight_distribution(params).values
+
+
+def test_d2_closed_form_equals_recurrence_long_blocks():
+    for q, c in ((3, 3), (2, 4)):
+        params = EnsembleParams(q=q, c=c, d=2, n=2000)
+        assert avg_weight_d2(params).values == avg_weight_distribution(params).values
 
 
 def test_d2_odd_product_weight_vanishes():
