@@ -37,13 +37,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def float_token(x: float) -> str:
-    """CSV token for a float: repr, with bare inf/-inf/nan literals."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+def _nonfinite(x: float) -> str:
+    """The literal "inf", "-inf" or "nan" of a non-finite float."""
     if math.isnan(x):
         return "nan"
-    return repr(float(x))
+    return "inf" if x > 0 else "-inf"
+
+
+def float_token(x: float) -> str:
+    """CSV token for a float: repr, with bare inf/-inf/nan literals."""
+    return repr(float(x)) if math.isfinite(x) else _nonfinite(x)
 
 
 # Digits per chunk of digit_string: below 640, the smallest nonzero limit
@@ -71,29 +74,17 @@ def digit_string(value: int) -> str:
 def jsonable(value):
     """Map a result value onto JSON-encodable structures.
 
-    Non-finite floats become the strings "inf"/"-inf"/"nan"; Fractions
-    become numerator/denominator digit strings with an approx double.
+    Non-finite floats become the strings "inf"/"-inf"/"nan" and numpy
+    scalars become Python numbers.
     """
-    if isinstance(value, Fraction):
-        return {
-            "numerator": digit_string(value.numerator),
-            "denominator": digit_string(value.denominator),
-            "approx": jsonable(fraction_to_float(value)),
-        }
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return value
-    if isinstance(value, (np.floating,)):
-        return jsonable(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
+        return value if math.isfinite(value) else _nonfinite(value)
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        return jsonable(value.item())
     return value
 
 
@@ -125,10 +116,14 @@ def _meta_parameters(args) -> dict:
 
 
 def emit_csv(header, rows, out) -> None:
+    """Write rows of ints, strings and Python floats as CSV.
+
+    csv writes a float as str(x), which is its repr with inf/-inf/nan for
+    non-finite values: the token float_token gives.
+    """
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -151,43 +146,48 @@ def _write_output(path: str | None, text: str) -> None:
         raise ParameterError(f"cannot write --output {path!r}: {exc.strerror or exc}")
 
 
-def _fraction_row(l: int, value: Fraction) -> list[str]:
-    return [
-        str(l),
-        digit_string(value.numerator),
-        digit_string(value.denominator),
-        float_token(fraction_to_float(value)),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
+#
+# Each returns (header, rows, data): rows of typed cells (int, string,
+# Python float) for CSV, and the JSON data block, whose tables are those
+# same rows keyed by the header.  run renders one of the two.
 # ---------------------------------------------------------------------------
 
 
-def _emit_spectrum_table(args, table: spectrum.SpectrumTable, out) -> None:
-    if args.format == "csv":
-        rows = [_fraction_row(l, v) for l, v in enumerate(table.values)]
-        emit_csv(["l", "numerator", "denominator", "approx"], rows, out)
-    else:
-        data = {
-            "spectrum": [
-                {"l": l, **jsonable(v)} for l, v in enumerate(table.values)
-            ]
-        }
-        emit_json(args, data, out)
+def _records(header, rows) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
 
 
-def _cmd_spectrum(args, out) -> None:
-    params = spectrum.EnsembleParams(q=args.q, c=args.c, d=args.d, n=args.n)
-    table = spectrum.avg_weight_distribution(params, n_cap=args.n_cap)
-    _emit_spectrum_table(args, table, out)
+def _columns(*columns) -> list[tuple]:
+    """Rows of Python numbers from equally long arrays or sequences."""
+    return list(zip(*(np.asarray(col).tolist() for col in columns)))
 
 
-def _cmd_exhaustive(args, out) -> None:
-    params = spectrum.EnsembleParams(q=args.q, c=args.c, d=args.d, n=args.n)
-    table = sim.exhaustive_ensemble(params, config_cap=args.config_cap)
-    _emit_spectrum_table(args, table, out)
+def _fraction_table(key: str, keys, values) -> tuple[list[str], list[list]]:
+    header = [key, "numerator", "denominator", "approx"]
+    rows = [
+        [k, digit_string(v.numerator), digit_string(v.denominator), fraction_to_float(v)]
+        for k, v in zip(keys, values)
+    ]
+    return header, rows
+
+
+def _params(args) -> spectrum.EnsembleParams:
+    return spectrum.EnsembleParams(q=args.q, c=args.c, d=args.d, n=args.n)
+
+
+def _spectrum_table(table: spectrum.SpectrumTable):
+    header, rows = _fraction_table("l", range(len(table.values)), table.values)
+    return header, rows, {"spectrum": _records(header, rows)}
+
+
+def _cmd_spectrum(args):
+    return _spectrum_table(spectrum.avg_weight_distribution(_params(args), n_cap=args.n_cap))
+
+
+def _cmd_exhaustive(args):
+    return _spectrum_table(sim.exhaustive_ensemble(_params(args), config_cap=args.config_cap))
 
 
 def _grid(args) -> np.ndarray:
@@ -200,45 +200,22 @@ def _grid(args) -> np.ndarray:
     return np.linspace(args.xmin, args.xmax, args.steps)
 
 
-def _cmd_growth(args, out) -> None:
+def _curve(header, xs, columns):
+    rows = _columns(xs, *columns)
+    return header, rows, {"curve": _records(header, rows)}
+
+
+def _cmd_growth(args):
     xs = _grid(args)
-    om, dom = growth.omega_curve(args.q, args.c, args.d, xs)
-    if args.format == "csv":
-        rows = [
-            [float_token(x), float_token(o), float_token(g)]
-            for x, o, g in zip(xs, om, dom)
-        ]
-        emit_csv(["x", "omega", "domega"], rows, out)
-    else:
-        data = {
-            "curve": [
-                {"x": float(x), "omega": float(o), "domega": float(g)}
-                for x, o, g in zip(xs, om, dom)
-            ]
-        }
-        emit_json(args, data, out)
+    return _curve(["x", "omega", "domega"], xs, growth.omega_curve(args.q, args.c, args.d, xs))
 
 
-def _cmd_delta(args, out) -> None:
+def _cmd_delta(args):
     xs = _grid(args)
-    value, zh, xh = growth.delta_curve(args.q, args.d, xs)
-    if args.format == "csv":
-        rows = [
-            [float_token(x), float_token(v), float_token(a), float_token(b)]
-            for x, v, a, b in zip(xs, value, zh, xh)
-        ]
-        emit_csv(["x", "delta", "zhat1", "xhat1"], rows, out)
-    else:
-        data = {
-            "curve": [
-                {"x": float(x), "delta": float(v), "zhat1": float(a), "xhat1": float(b)}
-                for x, v, a, b in zip(xs, value, zh, xh)
-            ]
-        }
-        emit_json(args, data, out)
+    return _curve(["x", "delta", "zhat1", "xhat1"], xs, growth.delta_curve(args.q, args.d, xs))
 
 
-def _cmd_landmarks(args, out) -> None:
+def _cmd_landmarks(args):
     marks = growth.landmarks(args.q, args.c, args.d)
     residuals = {}
     if marks.x0 is not None:
@@ -256,13 +233,12 @@ def _cmd_landmarks(args, out) -> None:
         "zhat2_neg": marks.zhat2_neg,
         "residuals": residuals,
     }
-    emit_json(args, data, out)
+    return None, None, data
 
 
-def _cmd_simulate(args, out) -> None:
-    params = spectrum.EnsembleParams(q=args.q, c=args.c, d=args.d, n=args.n)
+def _cmd_simulate(args):
     report = sim.monte_carlo(
-        params,
+        _params(args),
         trials=args.trials,
         seed=args.seed,
         l0=args.l0,
@@ -271,14 +247,9 @@ def _cmd_simulate(args, out) -> None:
         workers=args.workers,
         enum_cap=args.enum_cap,
     )
-    if args.format == "csv":
-        rows = [
-            [str(l), float_token(m), float_token(s)]
-            for l, (m, s) in enumerate(zip(report.overall.mean, report.overall.stderr))
-        ]
-        emit_csv(["l", "mean", "stderr"], rows, out)
-    else:
-        emit_json(args, _report_data(report), out)
+    overall = report.overall
+    rows = _columns(range(len(overall.mean)), overall.mean, overall.stderr)
+    return ["l", "mean", "stderr"], rows, _report_data(report)
 
 
 def _stats_data(stats: sim.SpectrumStats | None):
@@ -314,19 +285,19 @@ def _report_data(report: sim.SimReport) -> dict:
     }
 
 
-def _cmd_bounds(args, out) -> None:
-    upper = 1.0 / args.q**2
-    xs = np.geomspace(1e-6, upper * (1.0 - 1e-9), args.grid_steps)
+def _cmd_bounds(args):
+    if args.grid_steps < 1:
+        raise ParameterError(f"grid steps must be at least 1, got {args.grid_steps}")
+    xs = np.geomspace(1e-6, 1.0 / args.q**2 * (1.0 - 1e-9), args.grid_steps)
     margin = bounds.smallx_inequality_margin(args.q, args.c, args.d, xs)
     min_distance = None
     if args.n is not None:
         if args.l0 is None or args.alpha is None:
             raise ParameterError("--n needs --l0 and --alpha for the distance bound")
-        params = spectrum.EnsembleParams(q=args.q, c=args.c, d=args.d, n=args.n)
         if args.filtered:
-            rep = bounds.zero_column_filtered_bound(params, args.alpha)
+            rep = bounds.zero_column_filtered_bound(_params(args), args.alpha)
         else:
-            rep = bounds.min_distance_bound(params, args.l0, args.alpha)
+            rep = bounds.min_distance_bound(_params(args), args.l0, args.alpha)
         min_distance = {
             "l0": rep.l0,
             "alpha": rep.alpha,
@@ -335,22 +306,16 @@ def _cmd_bounds(args, out) -> None:
             "exp_term": rep.exp_term,
             "filtered": rep.filtered,
         }
-    if args.format == "csv":
-        rows = [
-            [float_token(x), float_token(o), float_token(b), float_token(m)]
-            for x, o, b, m in zip(margin.x, margin.omega, margin.bound, margin.margin)
-        ]
-        emit_csv(["x", "omega", "bound", "margin"], rows, out)
-    else:
-        data = {
-            "kappa": bounds.kappa(args.q, args.c, args.d),
-            "smallx": {
-                "grid_points": len(margin.x),
-                "min_margin": margin.min_margin,
-            },
-            "min_distance": min_distance,
-        }
-        emit_json(args, data, out)
+    data = {
+        "kappa": bounds.kappa(args.q, args.c, args.d),
+        "smallx": {
+            "grid_points": len(margin.x),
+            "min_margin": margin.min_margin,
+        },
+        "min_distance": min_distance,
+    }
+    rows = _columns(margin.x, margin.omega, margin.bound, margin.margin)
+    return ["x", "omega", "bound", "margin"], rows, data
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -363,7 +328,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _cmd_gv_limit(args, out) -> None:
+def _cmd_gv_limit(args):
     d_list = _parse_int_list(args.d_list, "--d-list")
     gv = growth.gv_threshold(args.q, args.redundancy)
     rows = []
@@ -380,41 +345,21 @@ def _cmd_gv_limit(args, out) -> None:
                 f"ensemble (q={args.q}, c={c}, d={d}) has no typical-distance landmark"
             )
         rows.append((d, c, marks.x0, gv, gv - marks.x0))
-    if args.format == "csv":
-        emit_csv(
-            ["d", "c", "x0", "gv", "gap"],
-            [
-                [str(d), str(c), float_token(x0), float_token(gv), float_token(gap)]
-                for d, c, x0, gv, gap in rows
-            ],
-            out,
-        )
-    else:
-        data = {
-            "rows": [
-                {"d": d, "c": c, "x0": x0, "gv": gv, "gap": gap}
-                for d, c, x0, gv, gap in rows
-            ]
-        }
-        emit_json(args, data, out)
+    header = ["d", "c", "x0", "gv", "gap"]
+    return header, rows, {"rows": _records(header, rows)}
 
 
-def _cmd_small_weight(args, out) -> None:
+def _cmd_small_weight(args):
     n_list = _parse_int_list(args.n_list, "--n-list")
     report = spectrum.small_weight_scaling(args.q, args.c, args.d, args.l, n_list)
-    if args.format == "csv":
-        rows = [_fraction_row(n, v) for n, v in zip(report.n_list, report.values)]
-        emit_csv(["n", "numerator", "denominator", "approx"], rows, out)
-    else:
-        data = {
-            "exact_zero": report.exact_zero,
-            "slope": report.slope,
-            "predicted_exponent": report.predicted_exponent,
-            "points": [
-                {"n": n, **jsonable(v)} for n, v in zip(report.n_list, report.values)
-            ],
-        }
-        emit_json(args, data, out)
+    header, rows = _fraction_table("n", report.n_list, report.values)
+    data = {
+        "exact_zero": report.exact_zero,
+        "slope": report.slope,
+        "predicted_exponent": report.predicted_exponent,
+        "points": _records(header, rows),
+    }
+    return header, rows, data
 
 
 FIGURE_DELTA_SETS = ((2, 5), (2, 6), (3, 5), (3, 6))
@@ -433,33 +378,19 @@ def figure_data(fig_id: int) -> tuple[list[str], list[list[str]]]:
     xs = np.linspace(0.0, 1.0, FIGURE_STEPS)
     if fig_id == 1:
         header = ["x"] + [f"delta_{q}_{d}" for q, d in FIGURE_DELTA_SETS]
-        columns = []
-        for q, d in FIGURE_DELTA_SETS:
-            value, _, _ = growth.delta_curve(q, d, xs)
-            columns.append(value)
-        rows = [
-            [float_token(x)] + [float_token(col[i]) for col in columns]
-            for i, x in enumerate(xs)
-        ]
-        return header, rows
-    if fig_id in FIGURE_OMEGA_SETS:
+        columns = [growth.delta_curve(q, d, xs)[0] for q, d in FIGURE_DELTA_SETS]
+    elif fig_id in FIGURE_OMEGA_SETS:
         q, d = FIGURE_OMEGA_SETS[fig_id]
         header = ["x"] + [f"omega_c{c}" for c in (1, 2, 3)]
-        columns = []
-        for c in (1, 2, 3):
-            om, _ = growth.omega_curve(q, c, d, xs)
-            columns.append(om)
-        rows = [
-            [float_token(x)] + [float_token(col[i]) for col in columns]
-            for i, x in enumerate(xs)
-        ]
-        return header, rows
-    raise ParameterError(f"figure id must be 1..5, got {fig_id}")
+        columns = [growth.omega_curve(q, c, d, xs)[0] for c in (1, 2, 3)]
+    else:
+        raise ParameterError(f"figure id must be 1..5, got {fig_id}")
+    return header, [[float_token(v) for v in row] for row in _columns(xs, *columns)]
 
 
-def _cmd_figure(args, out) -> None:
+def _cmd_figure(args):
     header, rows = figure_data(args.id)
-    emit_csv(header, rows, out)
+    return header, rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -467,108 +398,71 @@ def _cmd_figure(args, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_format(p, default="json", choices=("json", "csv")) -> None:
-    p.add_argument("--format", choices=list(choices), default=default)
+def _command(sub, name, func, summary, ensemble, options=None, fmt="json", format_flag=True):
+    """Add a subcommand and its flags.
+
+    Each letter of ensemble adds a required integer flag (--q, --c, --d,
+    --n), options maps further flags to their add_argument keywords, and
+    fmt is the default output format, or the only one without format_flag.
+    """
+    p = sub.add_parser(name, help=summary)
+    for letter in ensemble:
+        p.add_argument(f"--{letter}", type=int, required=True)
+    for flag, kwargs in (options or {}).items():
+        p.add_argument(flag, **kwargs)
+    if format_flag:
+        p.add_argument("--format", choices=["json", "csv"], default=fmt)
     p.add_argument("--output", default=None, help="write to this file instead of stdout")
+    p.set_defaults(func=func, format=fmt)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ldpc-spectra", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="exact average weight distribution")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-cap", type=int, default=spectrum.DEFAULT_N_CAP)
-    _add_format(p, default="json")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("exhaustive", help="exact ensemble average by full enumeration")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--config-cap", type=int, default=sim.DEFAULT_CONFIG_CAP)
-    _add_format(p, default="json")
-    p.set_defaults(func=_cmd_exhaustive)
-
-    p = sub.add_parser("growth", help="growth rate curve omega(x)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--xmin", type=float, default=0.0)
-    p.add_argument("--xmax", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=1001)
-    _add_format(p, default="csv")
-    p.set_defaults(func=_cmd_growth)
-
-    p = sub.add_parser("delta", help="inner exponent delta(x) with minimizing tilt")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--xmin", type=float, default=0.0)
-    p.add_argument("--xmax", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=1001)
-    _add_format(p, default="csv")
-    p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("landmarks", help="landmark weights of the growth rate")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_landmarks, format="json")
-
-    p = sub.add_parser("simulate", help="Monte Carlo ensemble sampling")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--l0", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--no-filter", action="store_true")
-    p.add_argument("--enum-cap", type=int, default=sim.DEFAULT_ENUM_CAP)
-    _add_format(p, default="json")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("bounds", help="small-weight margin and distance decay orders")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--l0", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--filtered", action="store_true")
-    p.add_argument("--grid-steps", type=int, default=1000)
-    _add_format(p, default="json")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("gv-limit", help="typical distance against the GV threshold")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d-list", required=True, help="comma-separated check degrees")
-    p.add_argument("--redundancy", type=float, default=0.5, help="c/d redundancy fraction")
-    _add_format(p, default="json")
-    p.set_defaults(func=_cmd_gv_limit)
-
-    p = sub.add_parser("small-weight", help="decay of E[A(l)] at fixed small weight")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n-list", required=True, help="comma-separated block lengths")
-    _add_format(p, default="json")
-    p.set_defaults(func=_cmd_small_weight)
-
-    p = sub.add_parser("figure", help="reference curve families (CSV)")
-    p.add_argument("--id", type=int, required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_figure, format="csv")
-
+    grid = {
+        "--xmin": dict(type=float, default=0.0),
+        "--xmax": dict(type=float, default=1.0),
+        "--steps": dict(type=int, default=1001),
+    }
+    _command(sub, "spectrum", _cmd_spectrum, "exact average weight distribution", "qcdn",
+             {"--n-cap": dict(type=int, default=spectrum.DEFAULT_N_CAP)})
+    _command(sub, "exhaustive", _cmd_exhaustive, "exact ensemble average by full enumeration",
+             "qcdn", {"--config-cap": dict(type=int, default=sim.DEFAULT_CONFIG_CAP)})
+    _command(sub, "growth", _cmd_growth, "growth rate curve omega(x)", "qcd", grid, fmt="csv")
+    _command(sub, "delta", _cmd_delta, "inner exponent delta(x) with minimizing tilt", "qd",
+             grid, fmt="csv")
+    _command(sub, "landmarks", _cmd_landmarks, "landmark weights of the growth rate", "qcd",
+             format_flag=False)
+    _command(sub, "simulate", _cmd_simulate, "Monte Carlo ensemble sampling", "qcdn", {
+        "--trials": dict(type=int, required=True),
+        "--seed": dict(type=int, default=0),
+        "--l0": dict(type=int, default=1),
+        "--alpha": dict(type=float, default=0.5),
+        "--workers": dict(type=int, default=1),
+        "--no-filter": dict(action="store_true"),
+        "--enum-cap": dict(type=int, default=sim.DEFAULT_ENUM_CAP),
+    })
+    _command(sub, "bounds", _cmd_bounds, "small-weight margin and distance decay orders",
+             "qcd", {
+                 "--n": dict(type=int, default=None),
+                 "--l0": dict(type=int, default=None),
+                 "--alpha": dict(type=float, default=None),
+                 "--filtered": dict(action="store_true"),
+                 "--grid-steps": dict(type=int, default=1000),
+             })
+    _command(sub, "gv-limit", _cmd_gv_limit, "typical distance against the GV threshold",
+             "q", {
+                 "--d-list": dict(required=True, help="comma-separated check degrees"),
+                 "--redundancy": dict(type=float, default=0.5, help="c/d redundancy fraction"),
+             })
+    _command(sub, "small-weight", _cmd_small_weight, "decay of E[A(l)] at fixed small weight",
+             "qcd", {
+                 "--l": dict(type=int, required=True),
+                 "--n-list": dict(required=True, help="comma-separated block lengths"),
+             })
+    _command(sub, "figure", _cmd_figure, "reference curve families (CSV)", "",
+             {"--id": dict(type=int, required=True)}, fmt="csv", format_flag=False)
     return parser
 
 
@@ -576,8 +470,12 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        header, rows, data = args.func(args)
         out = io.StringIO()
-        args.func(args, out)
+        if args.format == "csv":
+            emit_csv(header, rows, out)
+        else:
+            emit_json(args, data, out)
         _write_output(args.output, out.getvalue())
     except ParameterError as exc:
         sys.stderr.write(json.dumps({"code": 2, "message": str(exc)}) + "\n")

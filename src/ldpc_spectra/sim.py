@@ -18,6 +18,7 @@ worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -287,8 +288,12 @@ def monte_carlo(
 
     Trial t is seeded with (seed, t), so the full report is a pure function
     of (params, trials, seed, l0, alpha, filter_on): worker count affects
-    wall time only, never a byte of the result.
+    wall time only, never a byte of the result.  The thread pool holds at
+    most min(workers, trials, os.cpu_count()) threads; report.workers is
+    that number.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     if trials < 1:
         raise ParameterError(f"trial count must be at least 1, got {trials}")
     if l0 < 1:
@@ -298,6 +303,7 @@ def monte_carlo(
     nworkers = 1 if workers is None else int(workers)
     if nworkers < 1:
         raise ParameterError(f"worker count must be at least 1, got {nworkers}")
+    nworkers = min(nworkers, trials, os.cpu_count() or 1)
     field = build_field(params.q)
     _require_tables(field, "Monte Carlo enumeration")
 

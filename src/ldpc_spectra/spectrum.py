@@ -295,7 +295,8 @@ def small_weight_scaling(q: int, c: int, d: int, l: int, n_list) -> ScalingRepor
 
     For non-degenerate parameters the average scales like
     n**(-ceil((c-2)*l/2)); the report carries that predicted exponent and
-    the fitted slope over the supplied block lengths.
+    the fitted slope over the supplied block lengths, of which at least 3
+    distinct ones must have a nonzero average.
     """
     n_list = tuple(int(n) for n in n_list)
     if l < 1:
@@ -315,9 +316,10 @@ def small_weight_scaling(q: int, c: int, d: int, l: int, n_list) -> ScalingRepor
             exact_zero=True, slope=None, predicted_exponent=predicted,
         )
     usable = [(math.log(n), log_fraction(v)) for n, v in zip(n_list, values) if v > 0]
-    if len(usable) < 3:
+    distinct = len({x for x, _ in usable})
+    if distinct < 3:
         raise ParameterError(
-            f"need at least 3 block lengths with nonzero averages, got {len(usable)}"
+            f"need at least 3 block lengths with nonzero averages, got {distinct}"
         )
     xs = [u[0] for u in usable]
     ys = [u[1] for u in usable]

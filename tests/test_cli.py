@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -363,3 +364,120 @@ def test_capacity_errors_exit_3(capsys):
         capsys, "exhaustive", "--q", "2", "--c", "3", "--d", "6", "--n", "12")
     assert code == 3
     assert json.loads(err)["code"] == 3
+
+
+# (length, sha256) of stdout, recorded from the command line before its
+# render path was unified; exact outputs are a byte-level contract.
+RECORDED_DOCUMENTS = {
+    "spectrum --q 2 --c 3 --d 6 --n 60":
+        (9118, "7af9688315d11906c9402cd28625cb9cbfe6d869c5189815e886083712178cf1"),
+    "spectrum --q 2 --c 3 --d 6 --n 60 --format csv":
+        (2878, "e6bbccd1043341c976cc38fcf58962fc0fedcdf91a21546f1d2e5fe2713f0476"),
+    "spectrum --q 256 --c 6 --d 12 --n 40":
+        (27076, "815fbfc388023c9e4c7f875451f866c26255f714fcb7aa57a3c0fb18e06078b4"),
+    "spectrum --q 256 --c 6 --d 12 --n 40 --format csv":
+        (22813, "7c3371b22fc7c312d9ef5fbb78965735e5b59e0886dd69c6f11dcfc777a456c9"),
+    "exhaustive --q 2 --c 2 --d 4 --n 2":
+        (570, "33665eaf15a8ae3a6ba34e7f2c8ed95529799d435d1d77100533e9bb5f3c8233"),
+    "exhaustive --q 2 --c 2 --d 4 --n 2 --format csv":
+        (61, "c481966168d3da6452fe17a6324e0862e56fbf7384771a7c944db7858fa41725"),
+    "small-weight --q 2 --c 3 --d 6 --l 4 --n-list 24,48,96,192":
+        (933, "4fc6720eb661c7d7ec8efe1b411dda546098262cba49ef580f94823f25072def"),
+    "small-weight --q 2 --c 3 --d 6 --l 4 --n-list 24,48,96,192 --format csv":
+        (235, "0350570df6bddd6e192d5398d92519bd6fe41bcbc0fa8095dc29e399163a0334"),
+    "small-weight --q 2 --c 3 --d 6 --l 3 --n-list 24,48,96":
+        (643, "508717e01bdbf5edc59a208cbcbad2648eef9d3cdc238cbf232423c460b1bc55"),
+    "small-weight --q 2 --c 3 --d 6 --l 3 --n-list 24,48,96 --format csv":
+        (64, "4534b5480e8137cd8a31234fa9cc7655f66d6674eb9f043f501f8b4839abc6ac"),
+    "simulate --q 2 --c 3 --d 6 --n 12 --trials 50 --seed 9":
+        (2138, "a642e0d7aa94814a543c64bffafd7fd84bf0bf32ff6968d8d49d82a01d56175b"),
+    "simulate --q 2 --c 3 --d 6 --n 12 --trials 50 --seed 9 --format csv":
+        (231, "0d722d296f13c343f7c1457aaaef1c6613bc071a7878d65d6683d55e7a2f2fde"),
+}
+
+RECORDED_ERRORS = {
+    "growth --q 2 --c 3 --d 6 --steps 1":
+        (2, '{"code": 2, "message": "steps must be at least 2, got 1"}\n'),
+    "exhaustive --q 2 --c 3 --d 6 --n 12":
+        (3, '{"code": 3, "message": "371993326789901217467999448150835200000000 '
+            'ensemble configurations exceed the cap 100000000"}\n'),
+}
+
+
+def test_exact_documents_match_recorded_bytes(capsys):
+    for argv, (length, digest) in RECORDED_DOCUMENTS.items():
+        code, out, err = invoke(capsys, *argv.split())
+        assert (code, err) == (0, ""), argv
+        assert len(out) == length, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    for argv, (exit_code, stderr) in RECORDED_ERRORS.items():
+        assert invoke(capsys, *argv.split()) == (exit_code, "", stderr), argv
+
+
+def csv_token(value):
+    # the CSV token a JSON value must show: strings as they are, numbers by repr
+    return value if isinstance(value, str) else repr(value)
+
+
+def test_float_documents_json_rows_equal_csv_rows(capsys):
+    tables = (
+        ("growth --q 2 --c 3 --d 5 --steps 11", "curve"),
+        ("delta --q 2 --d 5 --steps 11", "curve"),
+        ("gv-limit --q 2 --d-list 6,12,24,48", "rows"),
+    )
+    for argv, key in tables:
+        _, out, _ = invoke(capsys, *argv.split(), "--format", "csv")
+        header, rows = parse_csv(out)
+        _, out, _ = invoke(capsys, *argv.split(), "--format", "json")
+        records = json.loads(out)["data"][key]
+        assert len(records) == len(rows) > 0, argv
+        for record, row in zip(records, rows):
+            assert sorted(record) == sorted(header), argv
+            assert {k: csv_token(v) for k, v in record.items()} == dict(zip(header, row))
+    # omega(1) and delta(0.9) lie in the vanished region for q = 2, odd d
+    _, out, _ = invoke(capsys, "growth", "--q", "2", "--c", "3", "--d", "5",
+                       "--steps", "11", "--format", "json")
+    assert json.loads(out)["data"]["curve"][-1]["omega"] == "-inf"
+    _, out, _ = invoke(capsys, "delta", "--q", "2", "--d", "5", "--steps", "11",
+                       "--format", "json")
+    assert json.loads(out)["data"]["curve"][-2]["delta"] == "-inf"
+    # bounds: the JSON summary describes the CSV margin table
+    argv = ("bounds", "--q", "2", "--c", "3", "--d", "6", "--grid-steps", "50")
+    _, out, _ = invoke(capsys, *argv, "--format", "csv")
+    header, rows = parse_csv(out)
+    _, out, _ = invoke(capsys, *argv, "--format", "json")
+    smallx = json.loads(out)["data"]["smallx"]
+    assert header == ["x", "omega", "bound", "margin"]
+    assert smallx["grid_points"] == len(rows) == 50
+    assert csv_token(smallx["min_margin"]) == min(rows, key=lambda r: float(r[3]))[3]
+
+
+def assert_exit_2_without_output(capsys, tmp_path, *argv):
+    target = tmp_path / "out.json"
+    code, out, err = invoke(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    body = json.loads(err)
+    assert body["code"] == 2 and isinstance(body["message"], str)
+    assert list(tmp_path.iterdir()) == []
+    return body["message"]
+
+
+def test_bounds_rejects_nonpositive_grid_steps(tmp_path, capsys):
+    message = assert_exit_2_without_output(
+        capsys, tmp_path, "bounds", "--q", "2", "--c", "3", "--d", "6",
+        "--grid-steps", "-3")
+    assert "grid" in message
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    message = assert_exit_2_without_output(
+        capsys, tmp_path, "simulate", "--q", "2", "--c", "3", "--d", "6", "--n", "12",
+        "--trials", "2", "--seed", "-1")
+    assert "seed" in message
+
+
+def test_small_weight_rejects_repeated_block_lengths(tmp_path, capsys):
+    message = assert_exit_2_without_output(
+        capsys, tmp_path, "small-weight", "--q", "2", "--c", "3", "--d", "6", "--l", "4",
+        "--n-list", "24,24,24")
+    assert "block lengths" in message

@@ -236,3 +236,40 @@ def test_exhaustive_capacity_guard():
     params = EnsembleParams(q=2, c=3, d=6, n=12)
     with pytest.raises(CapacityError):
         exhaustive_ensemble(params)
+
+
+class InlineExecutor:
+    """ThreadPoolExecutor stand-in: records max_workers, runs slices inline."""
+
+    max_workers_seen = []
+
+    def __init__(self, max_workers):
+        self.max_workers_seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return [fn(item) for item in iterable]
+
+
+def test_monte_carlo_thread_pool_capped(monkeypatch):
+    import ldpc_spectra.sim as sim
+
+    params = EnsembleParams(q=2, c=3, d=6, n=12)
+    baseline = _report_data(monte_carlo(params, trials=3, seed=5))
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+    InlineExecutor.max_workers_seen = []
+    report = monte_carlo(params, trials=3, seed=5, workers=10**6)
+    assert InlineExecutor.max_workers_seen == [3]
+    assert _report_data(report) == baseline
+    monte_carlo(params, trials=20, seed=5, workers=10**6)
+    assert InlineExecutor.max_workers_seen == [3, 8]
+    # an unknown processor count runs the trials inline, without a pool
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+    assert _report_data(monte_carlo(params, trials=3, seed=5, workers=4)) == baseline
+    assert InlineExecutor.max_workers_seen == [3, 8]

@@ -285,3 +285,13 @@ def test_small_weight_scaling_degenerate_zero():
 def test_small_weight_scaling_needs_three_points():
     with pytest.raises(ParameterError):
         small_weight_scaling(2, 3, 6, 2, [24, 48])
+
+
+def test_small_weight_scaling_needs_three_distinct_points():
+    # repeated block lengths leave the fit without spread in ln n
+    with pytest.raises(ParameterError):
+        small_weight_scaling(2, 3, 6, 4, [24, 24, 24])
+    with pytest.raises(ParameterError):
+        small_weight_scaling(2, 3, 6, 4, [24, 48, 24])
+    rep = small_weight_scaling(2, 3, 6, 4, [24, 48, 24, 96])
+    assert rep.n_list == (24, 48, 24, 96)
