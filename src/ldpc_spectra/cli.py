@@ -221,7 +221,7 @@ def _cmd_landmarks(args):
     if marks.x0 is not None:
         residuals["omega_at_x0"] = abs(growth.omega(args.q, args.c, args.d, marks.x0).omega)
     if marks.x3 is not None:
-        residuals["domega_at_x3"] = abs(growth.domega(args.q, args.c, args.d, marks.x3))
+        residuals["domega_at_x3"] = abs(growth.domega_floor(args.q, args.c, args.d, marks.x3))
     if marks.zhat2 is not None:
         residuals["xi_at_zhat2"] = abs(growth.xi(args.q, args.c, args.d, marks.zhat2))
     data = {

@@ -563,6 +563,19 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
     )
 
 
+def domega_floor(q: int, c: int, d: int, x: float) -> float:
+    """domega at an interior x in (0, 1 - 1/q), its tilt solved to the floor.
+
+    domega's tilt solve stops at bracket width BISECT_TOL, which near a root
+    of the slope leaves an error of about |d domega/dt| * BISECT_TOL: enough
+    to swamp the residual at the landmark x3 for large d (4.8e-10 at
+    (2, 3, 48)).  Here the tilt is bisected to the floating point floor.
+    """
+    z = 1.0 - q * x / (q - 1.0)
+    t = _bisect(lambda t: kernels.zeta(q, d, t) - z, 0.0, 1.0)
+    return float(_tilt_domega(q, c, d, t))
+
+
 def gv_threshold(q: int, r: float) -> float:
     """Gilbert-Varshamov weight: the x in (0, 1 - 1/q] with H_q(x) = r ln q.
 
@@ -592,6 +605,7 @@ __all__ = [
     "divergence",
     "domega",
     "domega_alt",
+    "domega_floor",
     "entropy_q",
     "gv_threshold",
     "landmarks",

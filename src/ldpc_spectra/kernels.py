@@ -1,5 +1,7 @@
 """Numpy kernels: Hamming weight counts over all combinations of a basis
-(sim), and the tilt map zeta with its batched bisection inverse (growth).
+(sim), bit-packed over GF(2**k) and byte-per-symbol over odd
+characteristic, and the tilt map zeta with its batched bisection inverse
+(growth).
 """
 
 from __future__ import annotations
@@ -15,22 +17,14 @@ import numpy as np
 _CHUNK_WORDS = 1 << 14
 
 
-def _span(rows, add_table, mul_table):
-    """All q**k linear combinations of the (k, n) rows, one word per row."""
-    n = rows.shape[1]
-    words = np.zeros((1, n), np.uint8)
-    for row in rows:
-        multiples = mul_table[:, row]
-        words = add_table[multiples[:, None, :], words[None, :, :]].reshape(-1, n)
-    return words
-
-
 def count_weights(basis, q, add_table, mul_table):
     """Count Hamming weights over all q**dim linear combinations of basis rows.
 
-    The basis is split into two halves whose spans, high and low, are built
-    explicitly; every word is then one sum high[i] + low[j], and the sums
-    are formed and counted a chunk of high words at a time.
+    The combinations are split into two halves whose spans, high and low,
+    are built explicitly; every word is then one sum high[i] + low[j], and
+    the sums are formed and counted a chunk of high words at a time.  Over
+    GF(2**k) the words are bit-packed and a sum is one XOR (see
+    _count_packed); other fields add byte symbols through add_table.
 
     Parameters
     ----------
@@ -48,6 +42,25 @@ def count_weights(basis, q, add_table, mul_table):
         counts[w] = number of enumerated words of weight w; sums to q**dim.
     """
     basis = np.asarray(basis, np.uint8)
+    if q & (q - 1) == 0:
+        return _count_packed(basis, q.bit_length() - 1, mul_table)
+    return _count_bytes(basis, add_table, mul_table)
+
+
+def _span(rows, add_table, mul_table):
+    """All q**k linear combinations of the (k, n) rows, one word per row."""
+    n = rows.shape[1]
+    words = np.zeros((1, n), np.uint8)
+    for row in rows:
+        multiples = mul_table[:, row]
+        words = add_table[multiples[:, None, :], words[None, :, :]].reshape(-1, n)
+    return words
+
+
+def _count_bytes(basis, add_table, mul_table):
+    """count_weights on byte symbols added through add_table; valid for any
+    tabled field, and the path taken for odd characteristic.
+    """
     dim, n = basis.shape
     half = dim // 2
     low = _span(basis[:half], add_table, mul_table)
@@ -57,6 +70,65 @@ def count_weights(basis, q, add_table, mul_table):
     for start in range(0, len(high), step):
         words = add_table[high[start:start + step, None, :], low[None, :, :]]
         weights = np.count_nonzero(words, axis=2)
+        counts += np.bincount(weights.ravel(), minlength=n + 1)
+    return counts
+
+
+def _bit_planes(gens, k):
+    """Pack (g, n) symbols of GF(2**k) into (words, g) uint64 bit planes.
+
+    Positions go m to a word, m = ceil(n / words) with k*m <= 64; bit
+    b*m + j of word w is bit b of the symbol at position w*m + j.
+    """
+    g, n = gens.shape
+    nwords = -(-n // (64 // k))
+    m = -(-n // nwords)
+    symbols = np.zeros((g, nwords * m), np.uint64)
+    symbols[:, :n] = gens
+    planes = (symbols.reshape(g, nwords, 1, m) >> np.arange(k, dtype=np.uint64)[:, None]) & 1
+    shifts = np.arange(k * m, dtype=np.uint64)
+    words = np.bitwise_or.reduce(planes.reshape(g, nwords, k * m) << shifts, axis=2)
+    return np.ascontiguousarray(words.T), m
+
+
+def _xor_span(gens):
+    """All 2**g XOR combinations of the (words, g) generators, as (words, 2**g)."""
+    span = np.zeros((gens.shape[0], 1), np.uint64)
+    for j in range(gens.shape[1]):
+        span = np.concatenate((span, span ^ gens[:, j:j + 1]), axis=1)
+    return span
+
+
+def _count_packed(basis, k, mul_table):
+    """count_weights over GF(2**k) on bit-packed words.
+
+    Row r contributes the k GF(2) generators beta*r, beta = 2**i (the
+    polynomial basis x**i); their XOR combinations are exactly the
+    GF(q)-combinations of the rows, with the same multiplicities.  A
+    position is nonzero when any of its k bit planes is set, so a word's
+    weight is the popcount of the OR of its planes, folded onto plane 0.
+    """
+    dim, n = basis.shape
+    betas = 1 << np.arange(k)
+    gens = mul_table[betas[None, :, None], basis[:, None, :]].reshape(dim * k, n)
+    words, m = _bit_planes(gens, k)
+    half = words.shape[1] // 2
+    low = _xor_span(words[:, :half])
+    high = _xor_span(words[:, half:])
+    folds = [np.uint64(m << s) for s in range((k - 1).bit_length())]
+    plane0 = np.uint64((1 << m) - 1)
+    weight_type = np.uint8 if n < 256 else np.uint32
+    step = max(1, _CHUNK_WORDS // low.shape[1])
+    counts = np.zeros(n + 1, np.int64)
+    for start in range(0, high.shape[1], step):
+        weights = 0
+        for hi, lo in zip(high[:, start:start + step], low):
+            sums = hi[:, None] ^ lo[None, :]
+            for shift in folds:
+                sums |= sums >> shift
+            if folds:
+                sums &= plane0
+            weights = weights + np.bitwise_count(sums).astype(weight_type, copy=False)
         counts += np.bincount(weights.ravel(), minlength=n + 1)
     return counts
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -357,8 +358,10 @@ def exhaustive_ensemble(
     """Average the exact weight counts over every ensemble configuration.
 
     Enumerates all (c*n)! socket permutations and all (q-1)**(c*n) nonzero
-    multiplier assignments; the returned table is an exact rational average
-    that must equal the closed-form ensemble expectation.
+    multiplier assignments, counting the weights of each distinct parity
+    matrix once and weighting them by how many configurations share it; the
+    returned table is an exact rational average that must equal the
+    closed-form ensemble expectation.
 
     Raises
     ------
@@ -373,13 +376,17 @@ def exhaustive_ensemble(
         raise CapacityError(
             f"{n_configs} ensemble configurations exceed the cap {config_cap}"
         )
-    totals = [0] * (params.n + 1)
+    shared = Counter()
     for perm in permutations(range(cn)):
         perm_arr = np.array(perm, np.int64)
         for mult in product(range(1, params.q), repeat=cn):
             h = assemble_parity(params, field, perm_arr, np.array(mult, np.int64))
-            enum = enumerate_weights(field, h, enum_cap)
-            for l, v in enumerate(enum.counts):
-                totals[l] += v
+            shared[h.tobytes()] += 1
+    totals = [0] * (params.n + 1)
+    for matrix, multiplicity in shared.items():
+        h = np.frombuffer(matrix, np.uint8).reshape(params.num_checks, params.n)
+        enum = enumerate_weights(field, h, enum_cap)
+        for l, v in enumerate(enum.counts):
+            totals[l] += multiplicity * v
     values = tuple(Fraction(t, n_configs) for t in totals)
     return SpectrumTable(params=params, values=values)

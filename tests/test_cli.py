@@ -119,6 +119,15 @@ def test_landmarks_json(capsys):
     assert abs(data["residuals"]["xi_at_zhat2"]) < 1e-10
 
 
+def test_landmarks_slope_residual_large_d(capsys):
+    # the slope residual is taken at a tilt solved to the floating point
+    # floor; a tilt solve stopped at BISECT_TOL leaves 4.8e-10 here
+    code, out, _ = invoke(capsys, "landmarks", "--q", "2", "--c", "3", "--d", "48")
+    assert code == 0
+    residuals = json.loads(out)["data"]["residuals"]
+    assert all(abs(v) < 1e-10 for v in residuals.values()), residuals
+
+
 def test_landmarks_low_c_serializes_absent_fields(capsys):
     code, out, _ = invoke(capsys, "landmarks", "--q", "2", "--c", "2", "--d", "6")
     assert code == 0

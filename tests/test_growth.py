@@ -29,6 +29,7 @@ from ldpc_spectra import (
     z_left_endpoint,
     zeta,
 )
+from ldpc_spectra.growth import domega_floor
 
 FIG_PAIRS = [(2, 5), (2, 6), (3, 5), (3, 6)]
 FIG_TRIPLES = [(q, c, d) for q, d in FIG_PAIRS for c in (1, 2, 3)]
@@ -379,6 +380,13 @@ def test_landmark_residuals_and_ordering():
         assert 0 < lm.x3 < lm.x2 < 1 - 1 / q
         assert lm.x3 < lm.x0 <= 1 - 1 / q
         assert lm.x1 == x1_right_endpoint(q, d)
+
+
+def test_domega_floor_agrees_with_domega_and_zeroes_x3():
+    for q, c, d in [(2, 3, 6), (3, 3, 6), (2, 3, 48), (2, 3, 96), (4, 3, 48)]:
+        for x in (0.01, 0.1, 0.3):
+            assert domega_floor(q, c, d, x) == pytest.approx(domega(q, c, d, x), rel=1e-9, abs=1e-9)
+        assert abs(domega_floor(q, c, d, landmarks(q, c, d).x3)) < 1e-10, (q, c, d)
 
 
 def _bisect_to_floor(f, lo, hi):

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from ldpc_spectra import build_field, z_left_endpoint, zeta
-from ldpc_spectra.kernels import count_weights, solve_zhat_batch
+from ldpc_spectra.kernels import _count_bytes, count_weights, solve_zhat_batch
 
 
 def brute_counts(basis, q, field):
@@ -68,6 +68,34 @@ def test_count_weights_matches_digit_decoder():
         got = count_weights(basis, q, field.add_table, field.mul_table)
         assert tuple(int(v) for v in got) == want, (q, dim, n)
         assert sum(want) == q**dim
+
+
+def packed_cases(rng):
+    # (q, basis): dim 0, odd dims, dependent rows, and words past 64 bits
+    for q in (2, 4, 8, 16, 256):
+        for dim, n in ((0, 5), (1, 7), (2, 4), (3, 6)):
+            if q**dim <= 1 << 16:
+                yield q, rng.integers(0, q, size=(dim, n)).astype(np.uint8)
+        # a last row that is (q-1) * first row + the row before it
+        rows = rng.integers(0, q, size=(2 if q <= 16 else 1, 6)).astype(np.uint8)
+        field = build_field(q)
+        combo = field.add_table[field.mul_table[q - 1, rows[0]], rows[-1]]
+        yield q, np.vstack([rows, combo])
+    for q, dim, n in ((2, 5, 130), (2, 11, 65), (4, 4, 40), (8, 3, 22), (256, 1, 9), (256, 2, 9)):
+        yield q, rng.integers(0, q, size=(dim, n)).astype(np.uint8)
+
+
+def test_packed_counts_match_byte_kernel_and_brute_force():
+    rng = np.random.default_rng(23)
+    for q, basis in packed_cases(rng):
+        field = build_field(q)
+        dim = basis.shape[0]
+        got = tuple(int(v) for v in count_weights(basis, q, field.add_table, field.mul_table))
+        want = tuple(int(v) for v in _count_bytes(basis, field.add_table, field.mul_table))
+        assert got == want, (q, basis.shape)
+        assert sum(got) == q**dim
+        if q**dim <= 4096:
+            assert got == brute_counts(basis, q, field), (q, basis.shape)
 
 
 def test_solve_batch_solves():

@@ -226,6 +226,37 @@ def test_exhaustive_ensemble_tiny_cases():
     assert all(isinstance(v, Fraction) for v in table.values)
 
 
+def test_exhaustive_counts_each_distinct_matrix_once(monkeypatch):
+    # oracle: enumerate the parity matrix of every configuration, shared or not
+    import ldpc_spectra.sim as sim
+
+    for q, c, d, n in ((2, 2, 4, 2), (3, 1, 3, 3)):
+        params = EnsembleParams(q=q, c=c, d=d, n=n)
+        field = build_field(q)
+        totals = [0] * (n + 1)
+        configs = 0
+        distinct = set()
+        for perm in itertools.permutations(range(params.num_sockets)):
+            for mult in itertools.product(range(1, q), repeat=params.num_sockets):
+                h = np.array(rebuild_parity(params, field, perm, mult), np.uint8)
+                distinct.add(h.tobytes())
+                for l, v in enumerate(enumerate_weights(field, h).counts):
+                    totals[l] += v
+                configs += 1
+        calls = []
+
+        def counted(field_, h, cap):
+            calls.append(h.tobytes())
+            return enumerate_weights(field_, h, cap)
+
+        monkeypatch.setattr(sim, "enumerate_weights", counted)
+        table = exhaustive_ensemble(params)
+        monkeypatch.undo()
+        assert table.values == tuple(Fraction(t, configs) for t in totals), (q, c, d, n)
+        assert sorted(calls) == sorted(distinct)
+        assert len(distinct) < configs
+
+
 def test_exhaustive_matches_formula_beyond_acceptance_set():
     params = EnsembleParams(q=2, c=1, d=2, n=4)
     assert exhaustive_ensemble(params).values == \
