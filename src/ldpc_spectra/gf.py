@@ -257,6 +257,50 @@ def _build_tables(spec: FieldSpec) -> FieldSpec:
     )
 
 
+def require_tables(spec: FieldSpec, need: str) -> None:
+    """Raise ParameterError unless spec carries dense operation tables.
+
+    need opens the message, naming the operation and its verb, for example
+    "enumeration requires".
+    """
+    if spec.add_table is None:
+        raise ParameterError(
+            f"{need} a tabled field (q <= {TABLE_LIMIT}), got q = {spec.q}"
+        )
+
+
+def add_arrays(spec: FieldSpec, a, b):
+    """Field sums of numpy arrays of canonical elements, broadcast.
+
+    In characteristic 2 the sum is the XOR of the encodings and in a prime
+    field it is the residue mod p, so neither needs a table; other fields
+    add through add_table.
+    """
+    if spec.p == 2:
+        return a ^ b
+    if spec.k == 1:
+        return np.add(a, b, dtype=_wide(spec)) % spec.p
+    return spec.add_table[a, b]
+
+
+def mul_arrays(spec: FieldSpec, a, b):
+    """Field products of numpy arrays of canonical elements, broadcast.
+
+    GF(2) products are ANDs and prime-field products residues mod p;
+    extension fields multiply through mul_table.
+    """
+    if spec.q == 2:
+        return a & b
+    if spec.k == 1:
+        return np.multiply(a, b, dtype=_wide(spec)) % spec.p
+    return spec.mul_table[a, b]
+
+
+def _wide(spec: FieldSpec):
+    """An unsigned type that holds the sum and product of two elements."""
+    return np.uint16 if spec.q <= TABLE_LIMIT else np.uint64
+
+
 @lru_cache(maxsize=None)
 def build_field(q: int) -> FieldSpec:
     """Construct GF(q) for a prime power q.

@@ -3,86 +3,116 @@
 Matrices are numpy arrays of canonical element integers.  Only fields with
 dense operation tables (q <= 256) are supported; that covers every field a
 code can realistically be enumerated over.
+
+rref and kernel_basis take one (rows, cols) matrix or a (batch, rows, cols)
+stack; a stack is reduced by one elimination loop for all of its matrices,
+and a single matrix is a stack of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
-from .gf import FieldSpec
+from .gf import FieldSpec, add_arrays, mul_arrays, require_tables
 
 
-def _require_tables(field: FieldSpec) -> None:
-    if field.add_table is None:
-        raise ParameterError(
-            f"dense linear algebra needs a tabled field (q <= 256), got q = {field.q}"
-        )
-
-
-def rref(field: FieldSpec, matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def rref(field: FieldSpec, matrix: np.ndarray):
     """Reduced row echelon form over GF(q).
 
     Returns
     -------
     (reduced, pivot_cols)
-        reduced is a new array in reduced echelon form; pivot_cols lists the
-        pivot column of each nonzero row in order.
+        reduced is a new array in reduced echelon form.  For one matrix
+        pivot_cols lists the pivot column of each nonzero row in order; for a
+        stack it is a (batch, rows) int array holding the same lists, padded
+        with -1 after each matrix's rank.
     """
-    _require_tables(field)
-    add_t = field.add_table
-    mul_t = field.mul_table
-    neg_t = field.neg_table
-    inv_t = field.inv_table
+    require_tables(field, "dense linear algebra needs")
     m = np.array(matrix, dtype=np.uint8, copy=True)
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        if r >= rows:
-            break
-        hit = np.nonzero(m[r:, col])[0]
-        if hit.size == 0:
-            continue
-        lead = r + int(hit[0])
-        if lead != r:
-            m[[r, lead]] = m[[lead, r]]
-        scale = inv_t[m[r, col]]
-        m[r] = mul_t[scale, m[r]]
-        others = np.nonzero(m[:, col])[0]
-        others = others[others != r]
-        if others.size:
-            factors = neg_t[m[others, col]]
-            m[others] = add_t[m[others], mul_t[factors[:, None], m[r][None, :]]]
-        pivots.append(col)
-        r += 1
+    if m.ndim == 3:
+        return _rref_stack(field, m)
+    reduced, pivots = _rref_stack(field, m[None])
+    return reduced[0], [int(c) for c in pivots[0] if c >= 0]
+
+
+def _rref_stack(field: FieldSpec, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rref of a (batch, rows, cols) stack, in place.
+
+    One step per pivot row r, for all matrices at once.  Rows r and below
+    are zero up to the last pivot column, so each matrix's next pivot
+    column is its first column with a nonzero entry in those rows, and its
+    pivot the first such entry (argmax over a mask); the row is swapped up
+    to r, scaled to a unit pivot and subtracted from every other row.  A
+    matrix with no such column has reached its rank: its rows from r on are
+    zero, so the step, run on its last column, leaves it as it is.
+    """
+    batch, rows, cols = m.shape
+    pivots = np.full((batch, rows), -1, np.intp)
+    every = np.arange(batch)
+    for r in range(rows):
+        below = m[:, r:] != 0
+        open_cols = below.any(axis=1)
+        col = open_cols.argmax(axis=1)
+        found = open_cols[every, col]
+        if not found.all():
+            if not found.any():
+                break
+            col[~found] = -1
+        lead = below[every, :, col].argmax(axis=1) + r
+        pivot_row = m[every, lead]
+        m[every, lead] = m[:, r]
+        if field.q > 2:
+            # scale to a unit pivot; over GF(2) the pivot is 1 already
+            pivot_row = mul_arrays(field, field.inv_table[pivot_row[every, col]][:, None], pivot_row)
+        factors = field.neg_table[m[every, :, col]]
+        factors[:, r] = 0
+        m[:] = add_arrays(field, m, mul_arrays(field, factors[:, :, None], pivot_row[:, None, :]))
+        m[:, r] = pivot_row
+        pivots[:, r] = col
     return m, pivots
 
 
-def kernel_basis(field: FieldSpec, matrix: np.ndarray) -> np.ndarray:
+def kernel_basis(field: FieldSpec, matrix: np.ndarray):
     """A basis of the right kernel {x : matrix @ x = 0 over GF(q)}.
 
-    Returns a (dim, cols) uint8 array; dim = cols - rank.  Each free column
-    yields one basis vector with a 1 there and back-substituted pivot
-    entries.
+    For one matrix, returns a (dim, cols) uint8 array; dim = cols - rank.
+    Each free column yields one basis vector with a 1 there and
+    back-substituted pivot entries.  For a (batch, rows, cols) stack,
+    returns (bases, dims): bases is (batch, max dim, cols) and the first
+    dims[b] rows of bases[b] are the basis of matrix b, the rest zero.
     """
-    _require_tables(field)
-    reduced, pivots = rref(field, matrix)
-    cols = reduced.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), np.uint8)
-    neg_t = field.neg_table
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = neg_t[reduced[row_idx, fc]]
-    return basis
+    stack = np.asarray(matrix)
+    single = stack.ndim == 2
+    reduced, pivots = rref(field, stack[None] if single else stack)
+    bases, dims = _kernel_stack(field, reduced, pivots)
+    if single:
+        return bases[0, :dims[0]]
+    return bases, dims
+
+
+def _kernel_stack(field: FieldSpec, reduced: np.ndarray, pivots: np.ndarray):
+    batch, rows, cols = reduced.shape
+    every = np.arange(batch)[:, None, None]
+    # column cols stands in for the missing pivot of a zero row
+    is_pivot = np.zeros((batch, cols + 1), bool)
+    is_pivot[every[:, 0], pivots] = True
+    dims = cols - np.count_nonzero(pivots >= 0, axis=1)
+    width = int(dims.max(initial=0))
+    # free columns in increasing order, then the pivot columns
+    free = np.argsort(is_pivot[:, :cols], axis=1, kind="stable")[:, :width]
+    rows_of = np.arange(width)[None, :, None]
+    bases = np.zeros((batch, width, cols + 1), np.uint8)
+    entries = reduced[every, np.arange(rows)[None, :, None], free[:, None, :]]
+    bases[every, rows_of, pivots[:, None, :]] = field.neg_table[entries.transpose(0, 2, 1)]
+    bases[every, rows_of, free[:, :, None]] = 1
+    bases = bases[:, :, :cols]
+    bases[rows_of[..., 0] >= dims[:, None]] = 0
+    return bases, dims
 
 
 def matvec(field: FieldSpec, matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """matrix @ vec over GF(q), for cross-checking kernel membership."""
-    _require_tables(field)
+    require_tables(field, "dense linear algebra needs")
     add_t = field.add_table
     mul_t = field.mul_table
     out = np.zeros(matrix.shape[0], np.uint8)

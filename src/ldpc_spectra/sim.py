@@ -9,10 +9,15 @@ kept and their multipliers add in the field, which can cancel to zero.
 Sampling is deterministic given a seed: the generator is numpy PCG64
 keyed by SeedSequence(seed), trial t of a Monte Carlo run uses
 SeedSequence((master_seed, t)), permutations come from
-numpy.random.Generator.permutation and multipliers from
-Generator.integers(1, q).  Monte Carlo aggregates are exact integer
-sums merged in trial order, so reports are byte-identical for any
-worker count.
+numpy.random.Generator.permutation (as a shuffle of arange(c*n), which
+draws the same) and multipliers from Generator.integers(1, q).
+
+Monte Carlo trials run in blocks.  Each trial keeps its own generator;
+the draws of a block are stacked, and its matrices are assembled,
+reduced (linalg) and counted (kernels) by batched numpy calls.  A single
+code is a block of one.  Aggregates are exact integer sums merged block
+by block, so reports are byte-identical for any worker count and block
+size.
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 
 from . import kernels
 from .errors import CapacityError, ParameterError
-from .gf import FieldSpec, build_field
+from .gf import FieldSpec, add_arrays, build_field, require_tables
 from .linalg import kernel_basis
 from .spectrum import EnsembleParams, SpectrumTable
 
@@ -37,6 +42,11 @@ from .spectrum import EnsembleParams, SpectrumTable
 DEFAULT_ENUM_CAP = 1 << 24
 # Default cap on permutation-multiplier configurations for exhaustive averaging.
 DEFAULT_CONFIG_CAP = 10**8
+# Codes sampled, assembled, reduced and counted together in one batched step:
+# at most _BLOCK codes and _BLOCK_CELLS parity-check matrix cells, so that
+# memory follows neither the trial count nor, past small codes, the code size.
+_BLOCK = 1024
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,31 +79,43 @@ class WeightEnumeration:
 
 
 def assemble_parity(params: EnsembleParams, field: FieldSpec, permutation, multipliers) -> np.ndarray:
-    """Build the parity-check matrix from a socket permutation and multipliers."""
+    """Build the parity-check matrix from a socket permutation and multipliers.
+
+    permutation and multipliers are (c*n,) arrays, or (batch, c*n) stacks
+    that give a (batch, m, n) stack of matrices.  Round j adds the edge of
+    socket j of every variable at once: no two edges of a round meet in one
+    (check, variable) cell, so c rounds of field additions place every edge.
+    """
+    c, n, m = params.c, params.n, params.num_checks
+    perm = np.asarray(permutation, np.intp)
+    lead = perm.shape[:-1]
+    # (round j, trial, variable v): socket v*c + j
+    perm = perm.reshape(-1, n, c).transpose(2, 0, 1)
+    trial = np.arange(perm.shape[1])[:, None]
+    symbol = np.min_scalar_type(params.q - 1)
+    edge_mult = np.asarray(multipliers, symbol).reshape(-1, c * n)[trial, perm]
+    cell = (trial * m + perm // params.d) * n + np.arange(n)
+    h = np.zeros(cell[0].size * m, symbol)
+    for at, add in zip(cell, edge_mult):
+        h[at] = add_arrays(field, h[at], add)
+    return h.reshape(lead + (m, n))
+
+
+def _draw(params: EnsembleParams, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Socket permutations and check-socket multipliers, (len(seeds), c*n)
+    each, one code per seed.
+    """
     cn = params.num_sockets
-    n = params.n
-    perm = np.asarray(permutation, np.int64)
-    mult = np.asarray(multipliers, np.int64)
-    var_of_socket = np.arange(cn, dtype=np.int64) // params.c
-    check_of_socket = perm // params.d
-    if field.k == 1:
-        flat = np.zeros(params.num_checks * n, np.int64)
-        np.add.at(flat, check_of_socket * n + var_of_socket, mult[perm])
-        return (flat % field.p).astype(np.uint8).reshape(params.num_checks, n)
-    add_t = field.add_table
-    h = np.zeros((params.num_checks, n), np.uint8)
-    for i in range(cn):
-        r = int(check_of_socket[i])
-        v = int(var_of_socket[i])
-        h[r, v] = add_t[h[r, v], mult[perm[i]]]
-    return h
-
-
-def _require_tables(field: FieldSpec, what: str) -> None:
-    if field.add_table is None:
-        raise ParameterError(
-            f"{what} requires a tabled field (q <= 256), got q = {field.q}"
-        )
+    perms = np.empty((len(seeds), cn), np.int64)
+    perms[:] = np.arange(cn)
+    mults = np.ones((len(seeds), cn), np.int64)
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        # shuffling arange(cn) in place draws what rng.permutation(cn) draws
+        rng.shuffle(perms[i])
+        if params.q > 2:
+            mults[i] = rng.integers(1, params.q, size=cn, dtype=np.int64)
+    return perms, mults
 
 
 def sample_code(params: EnsembleParams, seed, field: FieldSpec | None = None) -> CodeSample:
@@ -105,19 +127,42 @@ def sample_code(params: EnsembleParams, seed, field: FieldSpec | None = None) ->
     if field is None:
         field = build_field(params.q)
     if field.k > 1:
-        _require_tables(field, "sampling over an extension field")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    cn = params.num_sockets
-    perm = rng.permutation(cn)
-    mult = rng.integers(1, params.q, size=cn, dtype=np.int64) if params.q > 2 else np.ones(cn, np.int64)
-    h = assemble_parity(params, field, perm, mult)
+        require_tables(field, "sampling over an extension field requires")
+    perms, mults = _draw(params, [seed])
     return CodeSample(
         params=params,
         seed=seed,
-        permutation=perm,
-        multipliers=mult.astype(np.uint8),
-        parity_matrix=h,
+        permutation=perms[0],
+        multipliers=mults[0].astype(np.min_scalar_type(params.q - 1)),
+        parity_matrix=assemble_parity(params, field, perms[0], mults[0]),
     )
+
+
+def _block_size(params: EnsembleParams) -> int:
+    """Codes per batched step for this ensemble."""
+    return max(1, min(_BLOCK, _BLOCK_CELLS // (params.num_checks * params.n)))
+
+
+def _count_stack(field: FieldSpec, parity: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight counts (batch, n + 1) and code dimensions of a stack of codes.
+
+    Every dimension is checked against cap before any code is counted; the
+    refusal names the first code in stack order that exceeds it.  Codes are
+    counted a dimension at a time, as stacks of bases.
+    """
+    bases, dims = kernel_basis(field, parity)
+    dim_list = dims.tolist()
+    if field.q ** max(dim_list) > cap:
+        dim = next(dim for dim in dim_list if field.q**dim > cap)
+        raise CapacityError(
+            f"q**dim = {field.q}**{dim} = {field.q**dim} codewords exceeds the cap {cap}"
+        )
+    counts = np.empty((len(dims), parity.shape[-1] + 1), np.int64)
+    for dim in set(dim_list):
+        group = dims == dim
+        counts[group] = kernels.count_weights(
+            bases[group, :dim], field.q, field.add_table, field.mul_table)
+    return counts, dims
 
 
 def enumerate_weights(
@@ -135,27 +180,23 @@ def enumerate_weights(
     CapacityError
         If q**dim exceeds cap; the request is refused before any work.
     """
-    _require_tables(field, "enumeration")
-    basis = kernel_basis(field, parity_matrix)
-    dim, n = basis.shape
-    total = field.q**dim
-    if total > cap:
-        raise CapacityError(
-            f"q**dim = {field.q}**{dim} = {total} codewords exceeds the cap {cap}"
-        )
-    counts = kernels.count_weights(basis, field.q, field.add_table, field.mul_table)
-    counts_t = tuple(int(v) for v in counts)
+    require_tables(field, "enumeration requires")
+    counts, dims = _count_stack(field, np.asarray(parity_matrix)[None], cap)
+    counts_t = tuple(counts[0].tolist())
     dmin: float = math.inf
-    for w in range(1, n + 1):
+    for w in range(1, len(counts_t)):
         if counts_t[w] > 0:
             dmin = w
             break
-    return WeightEnumeration(counts=counts_t, dimension=dim, dmin=dmin)
+    return WeightEnumeration(counts=counts_t, dimension=int(dims[0]), dmin=dmin)
 
 
-def has_zero_column(parity_matrix: np.ndarray) -> bool:
-    """True when some variable is attached to no effective check constraint."""
-    return bool(np.all(parity_matrix == 0, axis=0).any())
+def has_zero_column(parity_matrix: np.ndarray):
+    """True when some variable is attached to no effective check constraint;
+    for a (batch, m, n) stack, a boolean array with one flag per matrix.
+    """
+    zero = np.all(parity_matrix == 0, axis=-2).any(axis=-1)
+    return zero if zero.ndim else bool(zero)
 
 
 def dmin_le_2(field: FieldSpec, parity_matrix: np.ndarray) -> bool:
@@ -164,7 +205,7 @@ def dmin_le_2(field: FieldSpec, parity_matrix: np.ndarray) -> bool:
     A weight-1 word exists iff some column is all zero; a weight-2 word
     exists iff two columns are proportional over the field.
     """
-    _require_tables(field, "column analysis")
+    require_tables(field, "column analysis requires")
     h = np.asarray(parity_matrix, np.uint8)
     if has_zero_column(h):
         return True
@@ -233,46 +274,77 @@ class SimReport:
         return self.filtered.trials / self.trials
 
 
-def _aggregate(n: int, rows: list[tuple[tuple[int, ...], float]], l0: int, dmax: int) -> SpectrumStats:
-    trials = len(rows)
-    sums = [0] * (n + 1)
-    sumsq = [0] * (n + 1)
-    hits = 0
-    for counts, dmin in rows:
-        for l, v in enumerate(counts):
-            sums[l] += v
-            sumsq[l] += v * v
-        if l0 <= dmin <= dmax:
-            hits += 1
-    if trials == 0:
+def _column_sums(values: np.ndarray, power: int) -> list[int]:
+    """Exact column sums of values**power, values >= 0, as Python ints.
+
+    int64 while the sum cannot overflow, Python integers past that.
+    """
+    peak = int(values.max(initial=0))
+    if len(values) * peak**power >= 2**63:
+        values = values.astype(object)
+    return [int(v) for v in (values**power).sum(axis=0)]
+
+
+class _Tally:
+    """Exact running sums over a set of trials: per-weight sums and sums of
+    squares of the weight counts (Python ints), the trial count, and the
+    trials whose minimum distance lies in [lo, hi].
+    """
+
+    def __init__(self, n: int, lo: int, hi: int):
+        self.n, self.lo, self.hi = n, lo, hi
+        self.trials = 0
+        self.hits = 0
+        self.sums = [0] * (n + 1)
+        self.sumsq = [0] * (n + 1)
+
+    def add(self, counts: np.ndarray) -> None:
+        """Add the trials of a (trials, n + 1) array of weight counts."""
+        nonzero = counts[:, 1:] > 0
+        # a code with no nonzero word has dmin = inf, past any hi < n
+        dmin = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1) + 1, self.n + 1)
+        self.trials += len(counts)
+        self.hits += int(np.count_nonzero((dmin >= self.lo) & (dmin <= self.hi)))
+        self.sums = [a + b for a, b in zip(self.sums, _column_sums(counts, 1))]
+        self.sumsq = [a + b for a, b in zip(self.sumsq, _column_sums(counts, 2))]
+
+    def merge(self, other: _Tally) -> None:
+        self.trials += other.trials
+        self.hits += other.hits
+        self.sums = [a + b for a, b in zip(self.sums, other.sums)]
+        self.sumsq = [a + b for a, b in zip(self.sumsq, other.sumsq)]
+
+    def stats(self) -> SpectrumStats:
+        trials, sums, hits = self.trials, self.sums, self.hits
+        if trials == 0:
+            return SpectrumStats(
+                trials=0,
+                counts_sum=tuple(sums),
+                mean=(),
+                stderr=(),
+                dmin_hits=0,
+                p_dmin_le=None,
+                p_dmin_half_width=None,
+            )
+        mean = tuple(s / trials for s in sums)
+        if trials >= 2:
+            stderr = tuple(
+                math.sqrt(float(Fraction(qq * trials - s * s, trials**2 * (trials - 1))))
+                for s, qq in zip(sums, self.sumsq)
+            )
+        else:
+            stderr = tuple(math.nan for _ in sums)
+        p = hits / trials
+        half = 1.96 * math.sqrt(p * (1.0 - p) / trials)
         return SpectrumStats(
-            trials=0,
+            trials=trials,
             counts_sum=tuple(sums),
-            mean=(),
-            stderr=(),
-            dmin_hits=0,
-            p_dmin_le=None,
-            p_dmin_half_width=None,
+            mean=mean,
+            stderr=stderr,
+            dmin_hits=hits,
+            p_dmin_le=p,
+            p_dmin_half_width=half,
         )
-    mean = tuple(s / trials for s in sums)
-    if trials >= 2:
-        stderr = tuple(
-            math.sqrt(float(Fraction(qq * trials - s * s, trials**2 * (trials - 1))))
-            for s, qq in zip(sums, sumsq)
-        )
-    else:
-        stderr = tuple(math.nan for _ in sums)
-    p = hits / trials
-    half = 1.96 * math.sqrt(p * (1.0 - p) / trials)
-    return SpectrumStats(
-        trials=trials,
-        counts_sum=tuple(sums),
-        mean=mean,
-        stderr=stderr,
-        dmin_hits=hits,
-        p_dmin_le=p,
-        p_dmin_half_width=half,
-    )
 
 
 def monte_carlo(
@@ -289,9 +361,16 @@ def monte_carlo(
 
     Trial t is seeded with (seed, t), so the full report is a pure function
     of (params, trials, seed, l0, alpha, filter_on): worker count affects
-    wall time only, never a byte of the result.  The thread pool holds at
-    most min(workers, trials, os.cpu_count()) threads; report.workers is
-    that number.
+    wall time only, never a byte of the result.
+
+    Trials run in blocks of _block_size(params) codes, each block drawn,
+    assembled, reduced and counted by batched numpy calls, so memory does
+    not grow with the trial count.  The blocks are cut into at most
+    min(workers, trials, os.cpu_count()) contiguous runs, the size of the
+    thread pool and report.workers; the calling thread takes the first run,
+    so a single block uses no extra thread.  A code over enum_cap is
+    refused before its block is counted; with one worker the refusal names
+    the first such trial.
     """
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
@@ -306,32 +385,38 @@ def monte_carlo(
         raise ParameterError(f"worker count must be at least 1, got {nworkers}")
     nworkers = min(nworkers, trials, os.cpu_count() or 1)
     field = build_field(params.q)
-    _require_tables(field, "Monte Carlo enumeration")
+    require_tables(field, "Monte Carlo enumeration requires")
+    n = params.n
+    dmax = math.floor(n * alpha)
+    block_size = _block_size(params)
 
-    def run_slice(t_indices) -> list[tuple[int, tuple[int, ...], float, bool]]:
-        out = []
-        for t in t_indices:
-            sample = sample_code(params, (seed, t), field)
-            enum = enumerate_weights(field, sample.parity_matrix, enum_cap)
-            passed = not has_zero_column(sample.parity_matrix)
-            out.append((t, enum.counts, enum.dmin, passed))
-        return out
+    def run_range(trial_range: range) -> tuple[_Tally, _Tally]:
+        overall = _Tally(n, l0, dmax)
+        filtered = _Tally(n, max(l0, 2), dmax)
+        for start in range(trial_range.start, trial_range.stop, block_size):
+            block = range(start, min(start + block_size, trial_range.stop))
+            parity = assemble_parity(params, field, *_draw(params, [(seed, t) for t in block]))
+            counts, _ = _count_stack(field, parity, enum_cap)
+            overall.add(counts)
+            if filter_on:
+                filtered.add(counts[~has_zero_column(parity)])
+        return overall, filtered
 
-    slices = [range(w, trials, nworkers) for w in range(nworkers)]
+    # at most nworkers runs of whole blocks; the calling thread takes the first
+    starts = range(0, trials, block_size)
+    runs = min(nworkers, len(starts))
+    cuts = [starts[len(starts) * w // runs] for w in range(runs)] + [trials]
+    ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     if nworkers == 1:
-        chunks = [run_slice(slices[0])]
+        parts = [run_range(ranges[0])]
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            chunks = list(pool.map(run_slice, slices))
-    per_trial = sorted(row for chunk in chunks for row in chunk)
-
-    dmax = math.floor(params.n * alpha)
-    all_rows = [(counts, dmin) for _, counts, dmin, _ in per_trial]
-    overall = _aggregate(params.n, all_rows, l0, dmax)
-    filtered = None
-    if filter_on:
-        kept = [(counts, dmin) for _, counts, dmin, passed in per_trial if passed]
-        filtered = _aggregate(params.n, kept, max(l0, 2), dmax)
+            rest = pool.map(run_range, ranges[1:])
+            parts = [run_range(ranges[0]), *rest]
+    overall, filtered = parts[0]
+    for more_overall, more_filtered in parts[1:]:
+        overall.merge(more_overall)
+        filtered.merge(more_filtered)
     return SimReport(
         params=params,
         trials=trials,
@@ -340,8 +425,8 @@ def monte_carlo(
         alpha=alpha,
         filter_on=filter_on,
         workers=nworkers,
-        overall=overall,
-        filtered=filtered,
+        overall=overall.stats(),
+        filtered=filtered.stats() if filter_on else None,
     )
 
 
@@ -361,7 +446,8 @@ def exhaustive_ensemble(
     multiplier assignments, counting the weights of each distinct parity
     matrix once and weighting them by how many configurations share it; the
     returned table is an exact rational average that must equal the
-    closed-form ensemble expectation.
+    closed-form ensemble expectation.  Configurations are assembled a block
+    at a time and their matrices tallied by their bytes.
 
     Raises
     ------
@@ -369,19 +455,23 @@ def exhaustive_ensemble(
         If the configuration count exceeds config_cap.
     """
     field = build_field(params.q)
-    _require_tables(field, "exhaustive enumeration")
+    require_tables(field, "exhaustive enumeration requires")
     cn = params.num_sockets
     n_configs = math.factorial(cn) * (params.q - 1) ** cn
     if n_configs > config_cap:
         raise CapacityError(
             f"{n_configs} ensemble configurations exceed the cap {config_cap}"
         )
+    configs = (
+        (perm, mult)
+        for perm in permutations(range(cn))
+        for mult in product(range(1, params.q), repeat=cn)
+    )
     shared = Counter()
-    for perm in permutations(range(cn)):
-        perm_arr = np.array(perm, np.int64)
-        for mult in product(range(1, params.q), repeat=cn):
-            h = assemble_parity(params, field, perm_arr, np.array(mult, np.int64))
-            shared[h.tobytes()] += 1
+    while batch := list(islice(configs, _block_size(params))):
+        perms, mults = (np.array(part, np.int64) for part in zip(*batch))
+        parity = assemble_parity(params, field, perms, mults)
+        shared.update(map(bytes, parity.reshape(len(parity), -1)))
     totals = [0] * (params.n + 1)
     for matrix, multiplicity in shared.items():
         h = np.frombuffer(matrix, np.uint8).reshape(params.num_checks, params.n)

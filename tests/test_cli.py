@@ -294,6 +294,17 @@ def test_refused_run_leaves_no_output_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_simulate_over_enum_cap_exit_3_without_output(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    code, out, err = invoke(
+        capsys, "simulate", "--q", "2", "--c", "3", "--d", "6", "--n", "12",
+        "--trials", "5", "--enum-cap", "10", "--output", str(target))
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "code": 3, "message": "q**dim = 2**6 = 64 codewords exceeds the cap 10"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def parse_digits(text):
     # int() refuses strings past the interpreter's digit limit, so parse
     # in chunks that stay below it.

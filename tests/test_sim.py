@@ -22,7 +22,9 @@ from ldpc_spectra import (
     sample_code,
 )
 from ldpc_spectra.cli import _report_data
-from ldpc_spectra.sim import dmin_le_2
+from ldpc_spectra.kernels import count_weights
+from ldpc_spectra.linalg import kernel_basis
+from ldpc_spectra.sim import SimReport, SpectrumStats, dmin_le_2, has_zero_column
 
 
 def rebuild_parity(params, field, permutation, multipliers):
@@ -304,3 +306,158 @@ def test_monte_carlo_thread_pool_capped(monkeypatch):
     monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
     assert _report_data(monte_carlo(params, trials=3, seed=5, workers=4)) == baseline
     assert InlineExecutor.max_workers_seen == [3, 8]
+
+
+# ---------------------------------------------------------------------------
+# The former per-trial Monte Carlo pipeline, kept as the oracle of the
+# batched one: one code at a time, drawn and wired independently of sim,
+# reduced and counted as a single matrix, aggregated in Python integers.
+# ---------------------------------------------------------------------------
+
+
+def oracle_draw(params, seed):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    perm = rng.permutation(params.num_sockets)
+    if params.q > 2:
+        mult = rng.integers(1, params.q, size=params.num_sockets, dtype=np.int64)
+    else:
+        mult = np.ones(params.num_sockets, np.int64)
+    return perm, mult
+
+
+def oracle_aggregate(n, rows, l0, dmax):
+    trials = len(rows)
+    sums = [0] * (n + 1)
+    sumsq = [0] * (n + 1)
+    hits = 0
+    for counts, dmin in rows:
+        for l, v in enumerate(counts):
+            sums[l] += v
+            sumsq[l] += v * v
+        if l0 <= dmin <= dmax:
+            hits += 1
+    if trials == 0:
+        return SpectrumStats(0, tuple(sums), (), (), 0, None, None)
+    mean = tuple(s / trials for s in sums)
+    if trials >= 2:
+        stderr = tuple(
+            math.sqrt(float(Fraction(qq * trials - s * s, trials**2 * (trials - 1))))
+            for s, qq in zip(sums, sumsq)
+        )
+    else:
+        stderr = tuple(math.nan for _ in sums)
+    p = hits / trials
+    half = 1.96 * math.sqrt(p * (1.0 - p) / trials)
+    return SpectrumStats(trials, tuple(sums), mean, stderr, hits, p, half)
+
+
+def oracle_trials(params, trials, seed):
+    """(counts, dmin, dimension, has_zero_column) of each trial, in order."""
+    field = build_field(params.q)
+    out = []
+    for t in range(trials):
+        h = np.array(rebuild_parity(params, field, *oracle_draw(params, (seed, t))), np.uint8)
+        basis = kernel_basis(field, h)
+        counts = tuple(int(v) for v in count_weights(
+            basis, params.q, field.add_table, field.mul_table))
+        dmin = next((w for w in range(1, params.n + 1) if counts[w]), math.inf)
+        out.append((counts, dmin, basis.shape[0], has_zero_column(h)))
+    return out
+
+
+def oracle_report(params, trials, seed, l0, alpha, filter_on):
+    rows = oracle_trials(params, trials, seed)
+    dmax = math.floor(params.n * alpha)
+    overall = oracle_aggregate(params.n, [(c, d) for c, d, _, _ in rows], l0, dmax)
+    filtered = None
+    if filter_on:
+        kept = [(c, d) for c, d, _, zero in rows if not zero]
+        filtered = oracle_aggregate(params.n, kept, max(l0, 2), dmax)
+    report = SimReport(params, trials, seed, l0, alpha, filter_on, 1, overall, filtered)
+    return json.dumps(_report_data(report), sort_keys=True), rows
+
+
+def test_batched_monte_carlo_matches_per_trial_oracle(monkeypatch):
+    import ldpc_spectra.sim as sim
+
+    # blocks of 7 codes: trial counts below, at and past a multiple of it
+    monkeypatch.setattr(sim, "_BLOCK", 7)
+    seen_zero_column = seen_rank_deficient = False
+    for q in (2, 3, 4, 5, 8, 9):
+        for c, d, n in ((1, 3, 6), (2, 4, 6), (3, 6, 6)):
+            params = EnsembleParams(q=q, c=c, d=d, n=n)
+            for trials, l0, alpha, filter_on in ((1, 1, 0.5, True), (23, 2, 0.4, True),
+                                                 (14, 1, 0.7, False)):
+                want, rows = oracle_report(params, trials, q * 100 + c, l0, alpha, filter_on)
+                seen_zero_column |= any(zero for *_, zero in rows)
+                seen_rank_deficient |= any(dim > n - params.num_checks for _, _, dim, _ in rows)
+                for workers in (1, 2, 3):
+                    report = monte_carlo(params, trials, seed=q * 100 + c, l0=l0,
+                                         alpha=alpha, filter_on=filter_on, workers=workers)
+                    got = json.dumps(_report_data(report), sort_keys=True)
+                    assert got == want, (q, c, trials, workers)
+    assert seen_zero_column and seen_rank_deficient
+
+
+def test_block_size_follows_code_size():
+    import ldpc_spectra.sim as sim
+
+    small = EnsembleParams(q=2, c=3, d=6, n=12)
+    large = EnsembleParams(q=2, c=5, d=6, n=120)
+    assert sim._block_size(small) == sim._BLOCK_CELLS // (6 * 12)
+    assert sim._block_size(large) == sim._BLOCK_CELLS // (100 * 120)
+    assert sim._block_size(EnsembleParams(q=2, c=1, d=2, n=2)) == sim._BLOCK
+
+
+def test_tally_sums_stay_exact_past_int64():
+    import ldpc_spectra.sim as sim
+
+    # 2.5e9**2 fits in int64 and twice it does not
+    big = 2_500_000_000
+    counts = np.array([
+        [1, big, 3, 0],
+        [1, big, 0, 5],
+    ], np.int64)
+    rows = [(tuple(int(v) for v in row), 1) for row in counts]
+    tally = sim._Tally(3, 1, 1)
+    tally.add(counts)
+    assert tally.sums == [sum(int(v) for v in col) for col in counts.T]
+    assert tally.sumsq == [sum(int(v) ** 2 for v in col) for col in counts.T]
+    assert tally.sumsq[1] > 2**63
+    assert tally.stats() == oracle_aggregate(3, rows, 1, 1)
+    huge = sim._Tally(1, 1, 1)
+    huge.add(np.array([[1, 2**40], [1, 2**40 - 1]], np.int64))
+    assert huge.sumsq == [2, 2**80 + (2**40 - 1) ** 2]
+    # block sums merge to the sums of one block
+    halves = sim._Tally(3, 1, 1)
+    halves.add(counts[:1])
+    rest = sim._Tally(3, 1, 1)
+    rest.add(counts[1:])
+    halves.merge(rest)
+    assert (halves.trials, halves.sums, halves.sumsq, halves.hits) == \
+        (tally.trials, tally.sums, tally.sumsq, tally.hits)
+
+
+def test_monte_carlo_capacity_refused_before_counting(monkeypatch):
+    import ldpc_spectra.sim as sim
+
+    # (2,3,6,12) codes have dim 6 at full rank; a few draws lose rank
+    params = EnsembleParams(q=2, c=3, d=6, n=12)
+    rows = oracle_trials(params, 40, 1)
+    first = next(t for t, (_, _, dim, _) in enumerate(rows) if dim > 6)
+    assert first > 0
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return count_weights(*args)
+
+    monkeypatch.setattr(sim.kernels, "count_weights", counted)
+    with pytest.raises(CapacityError) as refused:
+        monte_carlo(params, trials=40, seed=1, workers=1, enum_cap=2**6)
+    dim = rows[first][2]
+    assert str(refused.value) == (
+        f"q**dim = 2**{dim} = {2**dim} codewords exceeds the cap {2**6}")
+    assert calls == []
+    # below the first refused trial the run goes through
+    assert monte_carlo(params, trials=first, seed=1, enum_cap=2**6).trials == first
