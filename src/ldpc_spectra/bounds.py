@@ -17,12 +17,13 @@ import numpy as np
 
 from . import growth
 from .errors import DomainError, ParameterError
+from .gf import check_order
 from .spectrum import EnsembleParams
 
 
 def kappa(q: int, c: int, d: int) -> float:
     """Constant of the small-weight bound: ln(q-1) + (c/2) ln(d-1) + 3c."""
-    growth._check_q(q)
+    check_order(q)
     growth._check_c(c)
     if d < 2:
         raise ParameterError(f"check degree must be at least 2, got {d}")
@@ -39,7 +40,7 @@ def growth_rate_values(q: int, c: int, d: int, xs) -> np.ndarray:
     if d < 2:
         raise ParameterError(f"check degree must be at least 2, got {d}")
     if d == 2:
-        growth._check_q(q)
+        check_order(q)
         growth._check_c(c)
         if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
             raise DomainError("weights must lie in [0, 1]")

@@ -8,15 +8,19 @@ across runs and platforms: the modulus is the lexicographically smallest
 monic irreducible polynomial of degree k over GF(p), where candidates are
 compared coefficient-by-coefficient starting from the constant term.
 
-Fields of order up to 256 carry dense numpy lookup tables for the four
-binary operations; larger fields (up to 2**16) fall back to direct
-polynomial arithmetic.
+Addition and negation are defined once, digit-wise mod p on the base-p
+encodings (XOR in characteristic 2), for Python ints and numpy arrays.
+Fields of order up to 256 carry dense uint8 tables: sums and negations
+broadcast those definitions, products and inverses come from the exp/log
+tables of one generator of GF(q)*.  Larger fields (up to 2**16) use the
+same digit-wise addition plus polynomial products modulo the modulus.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -29,21 +33,22 @@ TABLE_LIMIT = 256
 ORDER_LIMIT = 1 << 16
 
 
-def _factor_prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, k) with q == p**k and p prime, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-    return None
+@lru_cache(maxsize=None)
+def check_order(q: int) -> tuple[int, int]:
+    """Return (p, k) with q == p**k and p prime, for a supported field order q.
+
+    Raises ParameterError unless q is a prime power in [2, ORDER_LIMIT].  The
+    range is tested first, so a huge q is refused without trial division.
+    Only supported orders are cached (a refusal raises), at most 2**16 of them.
+    """
+    if 2 <= q <= ORDER_LIMIT:
+        p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+        k = 1
+        while p**k < q:
+            k += 1
+        if p**k == q:
+            return p, k
+    raise ParameterError(f"q must be a prime power in [2, {ORDER_LIMIT}], got {q}")
 
 
 def _poly_trim(coeffs: list[int]) -> list[int]:
@@ -122,6 +127,28 @@ def _poly_to_int(coeffs: list[int], p: int) -> int:
     return out
 
 
+def _add_digits(p: int, k: int, a, b):
+    """a + b in GF(p**k), digit-wise mod p: ints, or arrays whose type holds a + b."""
+    if p == 2:
+        return a ^ b
+    out = 0
+    for j in range(k):
+        scale = p**j
+        out = out + (a // scale + b // scale) % p * scale
+    return out
+
+
+def _neg_digits(p: int, k: int, a):
+    """-a in GF(p**k), digit-wise mod p: a Python int or a numpy integer array."""
+    if p == 2:
+        return a
+    out = 0
+    for j in range(k):
+        scale = p**j
+        out = out + (p - a // scale % p) % p * scale
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
     """A realized finite field GF(q), q = p^k.
@@ -138,8 +165,11 @@ class FieldSpec:
         Coefficients of the defining irreducible polynomial, constant term
         first, length k + 1, leading coefficient 1.  For k == 1 this is the
         polynomial x, i.e. (0, 1).
-    add_table, mul_table, neg_table, inv_table : numpy arrays or None
-        Dense operation tables, present exactly when q <= 256.
+    add_table, mul_table, neg_table, inv_table : numpy uint8 arrays or None
+        Dense operation tables, present exactly when q <= 256: sums and
+        negations digit-wise, products and inverses from the exp/log tables
+        of the first generator of GF(q)*.  Without tables the scalar methods
+        add digit-wise and multiply polynomials modulo ``modulus``.
         ``inv_table[0]`` is a 0 sentinel; inversion of 0 raises instead.
     """
 
@@ -152,8 +182,6 @@ class FieldSpec:
     neg_table: np.ndarray | None = field(default=None, repr=False)
     inv_table: np.ndarray | None = field(default=None, repr=False)
 
-    # -- scalar operations ------------------------------------------------
-
     def _check(self, a: int) -> None:
         if not 0 <= a < self.q:
             raise DomainError(f"element {a} outside [0, {self.q})")
@@ -161,25 +189,21 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        return self._add_raw(a, b)
+        return int(add_arrays(self, a, b))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.neg_table is not None:
-            return int(self.neg_table[a])
-        return self._neg_raw(a)
+        return int(_neg_digits(self.p, self.k, a))
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        return self._mul_raw(a, b)
+        if self.k > 1 and self.mul_table is None:
+            return self._mul_raw(a, b)
+        return int(mul_arrays(self, a, b))
 
     def inv(self, a: int) -> int:
         self._check(a)
@@ -198,31 +222,6 @@ class FieldSpec:
             e >>= 1
         return out
 
-    # -- raw (table-free) arithmetic ---------------------------------------
-
-    def _add_raw(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        out = 0
-        scale = 1
-        while a or b:
-            out += ((a + b) % self.p) * scale
-            a //= self.p
-            b //= self.p
-            scale *= self.p
-        return out
-
-    def _neg_raw(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        out = 0
-        scale = 1
-        while a:
-            out += ((-a) % self.p) * scale
-            a //= self.p
-            scale *= self.p
-        return out
-
     def _mul_raw(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
@@ -231,28 +230,34 @@ class FieldSpec:
 
 
 def _build_tables(spec: FieldSpec) -> FieldSpec:
-    q = spec.q
-    dtype = np.uint8 if q <= 256 else np.uint16
-    add = np.zeros((q, q), dtype=dtype)
-    mul = np.zeros((q, q), dtype=dtype)
-    neg = np.zeros(q, dtype=dtype)
-    inv = np.zeros(q, dtype=dtype)
-    for a in range(q):
-        neg[a] = spec._neg_raw(a)
-        for b in range(q):
-            add[a, b] = spec._add_raw(a, b)
-            mul[a, b] = spec._mul_raw(a, b)
-    for a in range(1, q):
-        row = mul[a]
-        inv[a] = int(np.nonzero(row == 1)[0][0])
-    return FieldSpec(
-        q=spec.q,
-        p=spec.p,
-        k=spec.k,
-        modulus=spec.modulus,
-        add_table=add,
+    """spec with its dense uint8 operation tables.
+
+    Sums and negations broadcast the digit-wise functions over every
+    element.  With exp[i] = g**i for a generator g and log the inverse map,
+    a*b = exp[(log a + log b) mod (q-1)] and 1/a = exp[-log a mod (q-1)]
+    for nonzero a and b.
+    """
+    q, p, k = spec.q, spec.p, spec.k
+    # g is the first candidate whose powers take q - 1 steps to return to 1
+    for g in range(1, q):
+        powers = [1]
+        while (power := spec._mul_raw(powers[-1], g)) != 1:
+            powers.append(power)
+        if len(powers) == q - 1:
+            break
+    exp = np.array(powers, np.uint8)
+    log = np.zeros(q, np.intp)
+    log[exp] = np.arange(q - 1)
+    mul = np.zeros((q, q), np.uint8)
+    mul[1:, 1:] = exp[(log[1:, None] + log[1:]) % (q - 1)]
+    inv = np.zeros(q, np.uint8)
+    inv[1:] = exp[-log[1:] % (q - 1)]
+    elems = np.arange(q)
+    return replace(
+        spec,
+        add_table=_add_digits(p, k, elems[:, None], elems).astype(np.uint8),
         mul_table=mul,
-        neg_table=neg,
+        neg_table=_neg_digits(p, k, elems).astype(np.uint8),
         inv_table=inv,
     )
 
@@ -270,21 +275,21 @@ def require_tables(spec: FieldSpec, need: str) -> None:
 
 
 def add_arrays(spec: FieldSpec, a, b):
-    """Field sums of numpy arrays of canonical elements, broadcast.
+    """Field sums of canonical elements, numpy arrays (broadcast) or ints.
 
     In characteristic 2 the sum is the XOR of the encodings and in a prime
     field it is the residue mod p, so neither needs a table; other fields
-    add through add_table.
+    add through add_table, or digit-wise when they have none.
     """
-    if spec.p == 2:
-        return a ^ b
-    if spec.k == 1:
+    if spec.k == 1 and spec.p > 2:
         return np.add(a, b, dtype=_wide(spec)) % spec.p
+    if spec.p == 2 or spec.add_table is None:
+        return _add_digits(spec.p, spec.k, a, b)
     return spec.add_table[a, b]
 
 
 def mul_arrays(spec: FieldSpec, a, b):
-    """Field products of numpy arrays of canonical elements, broadcast.
+    """Field products of canonical elements, numpy arrays (broadcast) or ints.
 
     GF(2) products are ANDs and prime-field products residues mod p;
     extension fields multiply through mul_table.
@@ -318,16 +323,9 @@ def build_field(q: int) -> FieldSpec:
     Raises
     ------
     ParameterError
-        If q is below 2, above 2**16, or not a prime power.
+        Unless q is a prime power in [2, 2**16] (see :func:`check_order`).
     """
-    if q < 2:
-        raise ParameterError(f"field order must be at least 2, got {q}")
-    if q > ORDER_LIMIT:
-        raise ParameterError(f"field order {q} exceeds the supported cap {ORDER_LIMIT}")
-    pk = _factor_prime_power(q)
-    if pk is None:
-        raise ParameterError(f"field order {q} is not a prime power")
-    p, k = pk
+    p, k = check_order(q)
     spec = FieldSpec(q=q, p=p, k=k, modulus=_find_modulus(p, k))
     if q <= TABLE_LIMIT:
         spec = _build_tables(spec)

@@ -32,18 +32,13 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, ParameterError
-from .gf import ORDER_LIMIT, _factor_prime_power
+from .gf import check_order
 from .kernels import BISECT_MAXIT, BISECT_TOL, powi
 # Width of the bands around x = 0 and x = x1 inside which evaluation
 # returns the analytic endpoint/limit values instead of solving.
 ENDPOINT_BAND = 1e-8
 
 INF = float("inf")
-
-
-def _check_q(q: int) -> None:
-    if _factor_prime_power(q) is None or not 2 <= q <= ORDER_LIMIT:
-        raise ParameterError(f"q must be a prime power in [2, {ORDER_LIMIT}], got {q}")
 
 
 def _check_d(d: int, minimum: int = 3) -> None:
@@ -68,7 +63,7 @@ def _check_x(x: float) -> None:
 
 def entropy_q(x: float, q: int) -> float:
     """q-ary entropy with natural logs: H_q(0) = 0, H_q(1 - 1/q) = ln q."""
-    _check_q(q)
+    check_order(q)
     _check_x(x)
     out = x * math.log(q - 1.0) if q > 2 else 0.0
     if 0.0 < x < 1.0:
@@ -98,7 +93,7 @@ def rho(q: int, d: int, x: float) -> float:
     Continuous and finite on [0, 1] except for q = 2 with odd d, where the
     argument vanishes at x = 1 and the value is -inf.
     """
-    _check_q(q)
+    check_order(q)
     if d < 1:
         raise ParameterError(f"check degree must be at least 1, got {d}")
     _check_x(x)
@@ -116,7 +111,7 @@ def zeta(q: int, d: int, zhat: float) -> float:
     on [-1/(q-1), 1], fixing 0 and 1.  For q = 2 and odd d the formula is
     0/0 at zhat = -1; the continuous extension 2/d - 1 is returned there.
     """
-    _check_q(q)
+    check_order(q)
     _check_d(d, 2)
     lo = -1.0 / (q - 1.0)
     if not lo - 1e-12 <= zhat <= 1.0 + 1e-12:
@@ -126,7 +121,7 @@ def zeta(q: int, d: int, zhat: float) -> float:
 
 def z_left_endpoint(q: int, d: int) -> float:
     """Smallest reachable value of zeta: 2/d - 1 for q = 2 with odd d, else -1/(q-1)."""
-    _check_q(q)
+    check_order(q)
     _check_d(d, 2)
     if q == 2 and d % 2 == 1:
         return 2.0 / d - 1.0
@@ -135,7 +130,7 @@ def z_left_endpoint(q: int, d: int) -> float:
 
 def x1_right_endpoint(q: int, d: int) -> float:
     """Right edge of the reachable weight range: 1 - 1/d for q = 2 with odd d, else 1."""
-    _check_q(q)
+    check_order(q)
     _check_d(d, 2)
     if q == 2 and d % 2 == 1:
         return 1.0 - 1.0 / d
@@ -149,7 +144,7 @@ def solve_zhat1(q: int, d: int, z: float) -> float:
     (no tilt reaches it).  An interior root is clamped into the open
     bracket by BISECT_TOL/2 so downstream logs stay finite.
     """
-    _check_q(q)
+    check_order(q)
     _check_d(d)
     z1 = z_left_endpoint(q, d)
     if z > 1.0 + 1e-12 or z < z1 - 1e-12:
@@ -175,7 +170,7 @@ def delta_two_arg(q: int, d: int, x: float, xhat: float) -> float:
     delta(x) is the infimum of this over xhat in (0, 1); evaluating on a
     grid of xhat values gives an independent upper envelope for tests.
     """
-    _check_q(q)
+    check_order(q)
     _check_d(d)
     _check_x(x)
     if not 0.0 < xhat < 1.0:
@@ -345,7 +340,7 @@ def delta(q: int, d: int, x: float) -> DeltaEval:
     Within 1e-8 of x = 0 or of the right endpoint x1 the analytic
     endpoint/limit values are returned directly.
     """
-    _check_q(q)
+    check_order(q)
     _check_d(d)
     _check_x(x)
     xs = np.array([x], np.float64)
@@ -355,7 +350,7 @@ def delta(q: int, d: int, x: float) -> DeltaEval:
 
 def omega(q: int, c: int, d: int, x: float) -> GrowthPoint:
     """Growth rate omega(x) = H_q(x) + (c/d) (delta(x) - ln q), with derivative."""
-    _check_q(q)
+    check_order(q)
     _check_c(c)
     _check_d(d)
     _check_x(x)
@@ -396,7 +391,7 @@ def domega_alt(q: int, c: int, d: int, x: float) -> float:
 
 def omega_curve(q: int, c: int, d: int, xs):
     """Vectorized omega and its derivative over an array of weights in [0, 1]."""
-    _check_q(q)
+    check_order(q)
     _check_c(c)
     _check_d(d)
     xs = np.ascontiguousarray(xs, np.float64)
@@ -407,7 +402,7 @@ def omega_curve(q: int, c: int, d: int, xs):
 
 def delta_curve(q: int, d: int, xs):
     """Vectorized delta over an array of weights: (value, zhat1, xhat1) arrays."""
-    _check_q(q)
+    check_order(q)
     _check_d(d)
     xs = np.ascontiguousarray(xs, np.float64)
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
@@ -431,7 +426,7 @@ def xi_coefficients(q: int, c: int, d: int) -> list[int]:
     sign of xi at the stationary tilt zhat1(x): the tilt decreases in x and
     the remaining factors are positive.  xi(0) = 1, xi(1) = -q(c-2)(d-1).
     """
-    _check_q(q)
+    check_order(q)
     _check_c(c)
     _check_d(d)
     k = (c - 1) * (d - 1) - 1
@@ -513,7 +508,7 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
     1 - 1/q to 0 over t in [0, 1]: zhat2 is a root of xi, t3 of omega'(t)
     on (0, 1), and t0 of omega(t) on (0, t3).
     """
-    _check_q(q)
+    check_order(q)
     _check_c(c)
     _check_d(d)
     if c > d:
@@ -581,7 +576,7 @@ def gv_threshold(q: int, r: float) -> float:
 
     r is the redundancy fraction (1 - rate); r = 1 returns 1 - 1/q exactly.
     """
-    _check_q(q)
+    check_order(q)
     if not 0.0 < r <= 1.0:
         raise ParameterError(f"redundancy fraction must lie in (0, 1], got {r}")
     if r == 1.0:

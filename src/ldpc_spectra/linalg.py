@@ -109,15 +109,3 @@ def _kernel_stack(field: FieldSpec, reduced: np.ndarray, pivots: np.ndarray):
     bases[rows_of[..., 0] >= dims[:, None]] = 0
     return bases, dims
 
-
-def matvec(field: FieldSpec, matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """matrix @ vec over GF(q), for cross-checking kernel membership."""
-    require_tables(field, "dense linear algebra needs")
-    add_t = field.add_table
-    mul_t = field.mul_table
-    out = np.zeros(matrix.shape[0], np.uint8)
-    for j in range(matrix.shape[1]):
-        v = int(vec[j])
-        if v:
-            out = add_t[out, mul_t[matrix[:, j], v]]
-    return out

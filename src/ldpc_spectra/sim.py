@@ -199,29 +199,6 @@ def has_zero_column(parity_matrix: np.ndarray):
     return zero if zero.ndim else bool(zero)
 
 
-def dmin_le_2(field: FieldSpec, parity_matrix: np.ndarray) -> bool:
-    """Whether the code has a word of weight 1 or 2, without enumeration.
-
-    A weight-1 word exists iff some column is all zero; a weight-2 word
-    exists iff two columns are proportional over the field.
-    """
-    require_tables(field, "column analysis requires")
-    h = np.asarray(parity_matrix, np.uint8)
-    if has_zero_column(h):
-        return True
-    inv_t = field.inv_table
-    mul_t = field.mul_table
-    seen = set()
-    for v in range(h.shape[1]):
-        col = h[:, v]
-        lead = int(col[np.nonzero(col)[0][0]])
-        normalized = tuple(int(e) for e in mul_t[inv_t[lead], col])
-        if normalized in seen:
-            return True
-        seen.add(normalized)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, ParameterError
-from .gf import ORDER_LIMIT, _factor_prime_power
+from .gf import check_order
 
 # Default cap on the block length of a full exact spectrum request: the
 # largest multiple of 1000 at which (q, c, d) = (4, 3, 6) takes no longer
@@ -49,8 +49,7 @@ class EnsembleParams:
     n: int
 
     def __post_init__(self) -> None:
-        if _factor_prime_power(self.q) is None or not 2 <= self.q <= ORDER_LIMIT:
-            raise ParameterError(f"q must be a prime power in [2, {ORDER_LIMIT}], got {self.q}")
+        check_order(self.q)
         if self.c < 1:
             raise ParameterError(f"c must be at least 1, got {self.c}")
         if self.d < 1:
@@ -99,8 +98,7 @@ def single_check_coeffs(q: int, d: int) -> list[int]:
     the count is C(d, i) * b(i) with b(i) = ((q-1)**i + (-1)**i (q-1)) / q,
     which is always an integer.  b(0) = 1, b(1) = 0, b(2) = q - 1.
     """
-    if _factor_prime_power(q) is None or q < 2:
-        raise ParameterError(f"q must be a prime power, got {q}")
+    check_order(q)
     if d < 1:
         raise ParameterError(f"d must be at least 1, got {d}")
     out = []

@@ -7,9 +7,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
+import ldpc_spectra
 from ldpc_spectra import (
     EnsembleParams,
     avg_weight_distribution,
@@ -377,6 +380,27 @@ def test_unknown_arguments_exit_2(capsys):
     assert json.loads(err)["code"] == 2
     code, _, err = invoke(capsys, "nonsense")
     assert code == 2
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, stopped after 30 s so a hang fails fast."""
+    src = os.path.dirname(os.path.dirname(ldpc_spectra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ldpc_spectra.cli", *argv], capture_output=True,
+        text=True, timeout=30, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_huge_prime_q_exit_2_without_factoring():
+    # trial division of this prime up to its square root would not finish
+    q = "1000000000000000003"
+    message = f"q must be a prime power in [2, 65536], got {q}"
+    for argv in (("spectrum", "--q", q, "--c", "3", "--d", "6", "--n", "12"),
+                 ("landmarks", "--q", q, "--c", "3", "--d", "6")):
+        done = run_cli_process(*argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert json.loads(done.stderr) == {"code": 2, "message": message}
 
 
 def test_capacity_errors_exit_3(capsys):

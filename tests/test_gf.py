@@ -3,12 +3,105 @@
 from __future__ import annotations
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from ldpc_spectra import DomainError, ParameterError, build_field, field_arith
+from ldpc_spectra.gf import ORDER_LIMIT, TABLE_LIMIT, check_order
 
 TABLED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+# The former scalar definitions, kept as the oracle for the digit-wise
+# functions and the exp/log tables: a sum or negation is built digit by
+# digit, a product is the polynomial product modulo the field's modulus.
+
+def former_add(f, a, b):
+    if f.k == 1:
+        return (a + b) % f.p
+    out = 0
+    scale = 1
+    while a or b:
+        out += ((a + b) % f.p) * scale
+        a //= f.p
+        b //= f.p
+        scale *= f.p
+    return out
+
+
+def former_neg(f, a):
+    if f.k == 1:
+        return (-a) % f.p
+    out = 0
+    scale = 1
+    while a:
+        out += ((-a) % f.p) * scale
+        a //= f.p
+        scale *= f.p
+    return out
+
+
+def former_inv(f, a):
+    # a**(q-2) in the multiplicative group of order q-1
+    out = 1
+    base = a
+    e = f.q - 2
+    while e:
+        if e & 1:
+            out = f._mul_raw(out, base)
+        base = f._mul_raw(base, base)
+        e >>= 1
+    return out
+
+
+def former_tables(f):
+    """The q-squared scalar build the dense tables used to come from."""
+    q = f.q
+    add = np.zeros((q, q), dtype=np.uint8)
+    mul = np.zeros((q, q), dtype=np.uint8)
+    neg = np.zeros(q, dtype=np.uint8)
+    inv = np.zeros(q, dtype=np.uint8)
+    for a in range(q):
+        neg[a] = former_neg(f, a)
+        for b in range(q):
+            add[a, b] = former_add(f, a, b)
+            mul[a, b] = f._mul_raw(a, b)
+    for a in range(1, q):
+        inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
+    return add, mul, neg, inv
+
+
+def prime_powers(limit):
+    primes = [p for p in range(2, limit + 1) if all(p % f for f in range(2, p))]
+    return sorted(p**k for p in primes for k in range(1, limit.bit_length()) if p**k <= limit)
+
+
+def test_tables_equal_former_construction():
+    orders = prime_powers(TABLE_LIMIT)
+    assert len(orders) == 70
+    for q in orders:
+        f = build_field(q)
+        got = (f.add_table, f.mul_table, f.neg_table, f.inv_table)
+        for table, want in zip(got, former_tables(f)):
+            assert table.dtype == np.uint8
+            assert np.array_equal(table, want), q
+
+
+def test_untabled_scalars_equal_former_definitions():
+    rng = random.Random(7)
+    for q in (257, 512, 625, 729, 65521, 65536):
+        f = build_field(q)
+        assert f.add_table is None
+        sample = [0, 1, q - 1] + [rng.randrange(q) for _ in range(40)]
+        for a in sample:
+            assert f.neg(a) == former_neg(f, a)
+            if a:
+                assert f.inv(a) == former_inv(f, a)
+            for b in sample[:15]:
+                assert f.add(a, b) == former_add(f, a, b)
+                assert f.mul(a, b) == f._mul_raw(a, b)
 
 
 def test_build_field_basic_shape():
@@ -123,17 +216,24 @@ def test_untabled_prime_field():
 
 
 def test_untabled_extension_field():
-    f = build_field(512)
-    assert f.p == 2 and f.k == 9
-    sample = [0, 1, 2, 3, 255, 256, 511]
-    for a in sample:
-        assert f.add(a, a) == 0
-        if a:
-            assert f.mul(a, f.inv(a)) == 1
-    for a in sample:
-        for b in sample:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
+    for q, p, k in ((512, 2, 9), (625, 5, 4), (729, 3, 6)):
+        f = build_field(q)
+        assert f.add_table is None
+        assert f.p == p and f.k == k
+        sample = [0, 1, 2, 3, p, p + 1, 255, 256, q // 2, q - 1]
+        for a in sample:
+            acc = 0
+            for _ in range(p):
+                acc = f.add(acc, a)
+            assert acc == 0
+            assert f.add(a, f.neg(a)) == 0
+            if a:
+                assert f.mul(a, f.inv(a)) == 1
+        for a in sample:
+            for b in sample:
+                assert f.add(a, b) == f.add(b, a)
+                assert f.mul(a, b) == f.mul(b, a)
+                assert f.mul(a, f.add(b, 1)) == f.add(f.mul(a, b), a)
 
 
 def test_field_arith_dispatch():
@@ -156,9 +256,25 @@ def test_field_arith_bad_usage():
 
 
 def test_invalid_orders_rejected():
-    for q in (0, 1, 6, 10, 12, 100, 2**16 + 1):
-        with pytest.raises(ParameterError):
+    for q in (0, 1, 6, 10, 12, 100, 2**16 + 1, 2**17):
+        with pytest.raises(ParameterError) as info:
             build_field(q)
+        assert str(info.value) == f"q must be a prime power in [2, {ORDER_LIMIT}], got {q}"
+
+
+def test_check_order_factors_supported_orders():
+    assert check_order(2) == (2, 1)
+    assert check_order(243) == (3, 5)
+    assert check_order(65521) == (65521, 1)
+    assert check_order(ORDER_LIMIT) == (2, 16)
+    orders = prime_powers(TABLE_LIMIT)
+    for q in range(2, TABLE_LIMIT + 1):
+        if q in orders:
+            p, k = check_order(q)
+            assert p**k == q and all(p % f for f in range(2, p))
+        else:
+            with pytest.raises(ParameterError):
+                check_order(q)
 
 
 def test_build_field_cached():

@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 
 from ldpc_spectra import ParameterError, build_field
-from ldpc_spectra.linalg import kernel_basis, matvec, rref
+from ldpc_spectra.linalg import kernel_basis, rref
+
+
+def matvec(field, matrix, vec):
+    """matrix @ vec over GF(q) by table lookups, for checking kernel membership."""
+    add_t = field.add_table
+    mul_t = field.mul_table
+    out = np.zeros(matrix.shape[0], np.uint8)
+    for j in range(matrix.shape[1]):
+        v = int(vec[j])
+        if v:
+            out = add_t[out, mul_t[matrix[:, j], v]]
+    return out
 
 
 def test_rref_structure_and_idempotence():

@@ -24,7 +24,27 @@ from ldpc_spectra import (
 from ldpc_spectra.cli import _report_data
 from ldpc_spectra.kernels import count_weights
 from ldpc_spectra.linalg import kernel_basis
-from ldpc_spectra.sim import SimReport, SpectrumStats, dmin_le_2, has_zero_column
+from ldpc_spectra.sim import SimReport, SpectrumStats, has_zero_column
+
+
+def dmin_le_2(field, parity_matrix):
+    """Whether the code has a word of weight 1 or 2, without enumeration.
+
+    A weight-1 word exists iff some column is all zero; a weight-2 word
+    exists iff two columns are proportional over the field.
+    """
+    h = np.asarray(parity_matrix, np.uint8)
+    if has_zero_column(h):
+        return True
+    seen = set()
+    for v in range(h.shape[1]):
+        col = h[:, v]
+        lead = int(col[np.nonzero(col)[0][0]])
+        normalized = tuple(int(e) for e in field.mul_table[field.inv_table[lead], col])
+        if normalized in seen:
+            return True
+        seen.add(normalized)
+    return False
 
 
 def rebuild_parity(params, field, permutation, multipliers):

@@ -90,6 +90,14 @@ def comb_average(params, coeffs, l):
     return Fraction(numerator, denominator)
 
 
+def test_single_check_coeffs_share_the_field_order_rule():
+    # every other entry point caps q at 2**16; so does the single check
+    for q in (6, 131072):
+        with pytest.raises(ParameterError) as info:
+            single_check_coeffs(q, 3)
+        assert str(info.value) == f"q must be a prime power in [2, 65536], got {q}"
+
+
 def test_params_validation():
     EnsembleParams(q=2, c=3, d=6, n=12)
     with pytest.raises(ParameterError):
