@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import __version__, bounds, growth, sim, spectrum
 from .errors import CapacityError, ParameterError
+from .gf import check_order
 
 
 class _Parser(argparse.ArgumentParser):
@@ -286,9 +288,13 @@ def _report_data(report: sim.SimReport) -> dict:
 
 
 def _cmd_bounds(args):
+    check_order(args.q)
     if args.grid_steps < 1:
         raise ParameterError(f"grid steps must be at least 1, got {args.grid_steps}")
-    xs = np.geomspace(1e-6, 1.0 / args.q**2 * (1.0 - 1e-9), args.grid_steps)
+    # the grid ends just below 1/q**2 and starts at 1e-6, or one decade
+    # below its end where 1e-6 is not below it (q > 1000)
+    end = 1.0 / args.q**2 * (1.0 - 1e-9)
+    xs = np.geomspace(1e-6 if 1e-6 < end else end / 10, end, args.grid_steps)
     margin = bounds.smallx_inequality_margin(args.q, args.c, args.d, xs)
     min_distance = None
     if args.n is not None:
@@ -466,10 +472,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _run_parser() -> _Parser:
+    """The parser run uses, built on its first call and kept for the process;
+    parsing leaves a parser as it was, so one serves every call.
+    """
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _run_parser().parse_args(argv)
         header, rows, data = args.func(args)
         out = io.StringIO()
         if args.format == "csv":

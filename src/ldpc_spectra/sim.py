@@ -12,17 +12,21 @@ SeedSequence((master_seed, t)), permutations come from
 numpy.random.Generator.permutation (as a shuffle of arange(c*n), which
 draws the same) and multipliers from Generator.integers(1, q).
 
-Monte Carlo trials run in blocks.  Each trial keeps its own generator;
-the draws of a block are stacked, and its matrices are assembled,
-reduced (linalg) and counted (kernels) by batched numpy calls.  A single
-code is a block of one.  Aggregates are exact integer sums merged block
-by block, so reports are byte-identical for any worker count and block
-size.
+Monte Carlo trials run in blocks.  A block's seeds are hashed together
+on numpy arrays into the state words numpy's SeedSequence gives
+(_seeding), numpy seeds each trial's PCG64 from its words, and numpy's
+shuffle and integers draw.  A single code keys its PCG64 with numpy's
+SeedSequence itself and is drawn as a block of one.  The draws of a block
+are stacked, and its matrices are assembled, reduced (linalg) and counted
+(kernels) by batched numpy calls.  Aggregates are exact integer sums
+merged block by block, so reports are byte-identical for any worker count
+and block size.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -101,16 +105,16 @@ def assemble_parity(params: EnsembleParams, field: FieldSpec, permutation, multi
     return h.reshape(lead + (m, n))
 
 
-def _draw(params: EnsembleParams, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Socket permutations and check-socket multipliers, (len(seeds), c*n)
-    each, one code per seed.
+def _draw(params: EnsembleParams, seed_seqs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Socket permutations and check-socket multipliers, (len(seed_seqs), c*n)
+    each, one code per seed sequence that keys its PCG64.
     """
     cn = params.num_sockets
-    perms = np.empty((len(seeds), cn), np.int64)
+    perms = np.empty((len(seed_seqs), cn), np.int64)
     perms[:] = np.arange(cn)
-    mults = np.ones((len(seeds), cn), np.int64)
-    for i, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    mults = np.ones((len(seed_seqs), cn), np.int64)
+    for i, seed_seq in enumerate(seed_seqs):
+        rng = np.random.Generator(np.random.PCG64(seed_seq))
         # shuffling arange(cn) in place draws what rng.permutation(cn) draws
         rng.shuffle(perms[i])
         if params.q > 2:
@@ -128,7 +132,7 @@ def sample_code(params: EnsembleParams, seed, field: FieldSpec | None = None) ->
         field = build_field(params.q)
     if field.k > 1:
         require_tables(field, "sampling over an extension field requires")
-    perms, mults = _draw(params, [seed])
+    perms, mults = _draw(params, [np.random.SeedSequence(seed)])
     return CodeSample(
         params=params,
         seed=seed,
@@ -366,13 +370,16 @@ def monte_carlo(
     n = params.n
     dmax = math.floor(n * alpha)
     block_size = _block_size(params)
+    master = operator.index(seed)
+    from ._seeding import StateWords, trial_states  # loads numpy.random
 
     def run_range(trial_range: range) -> tuple[_Tally, _Tally]:
         overall = _Tally(n, l0, dmax)
         filtered = _Tally(n, max(l0, 2), dmax)
         for start in range(trial_range.start, trial_range.stop, block_size):
             block = range(start, min(start + block_size, trial_range.stop))
-            parity = assemble_parity(params, field, *_draw(params, [(seed, t) for t in block]))
+            seed_seqs = [StateWords(words) for words in trial_states(master, block)]
+            parity = assemble_parity(params, field, *_draw(params, seed_seqs))
             counts, _ = _count_stack(field, parity, enum_cap)
             overall.add(counts)
             if filter_on:

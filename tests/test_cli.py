@@ -16,6 +16,7 @@ import ldpc_spectra
 from ldpc_spectra import (
     EnsembleParams,
     avg_weight_distribution,
+    cli,
     entropy_q,
     omega_curve,
     small_weight_scaling,
@@ -175,6 +176,26 @@ def test_bounds_json(capsys):
     assert data["smallx"]["min_margin"] > 0
     assert data["kappa"] > 0
     assert data["min_distance"] is None
+
+
+def test_bounds_checks_q_before_the_grid(capsys):
+    code, out, err = invoke(capsys, "bounds", "--q", "0", "--c", "3", "--d", "6")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "code": 2, "message": "q must be a prime power in [2, 65536], got 0"}
+
+
+def test_bounds_default_grid_below_inverse_square_q(capsys):
+    # 1/q**2 falls below the usual start 1e-6 past q = 1000
+    for q in (997, 1009, 65536):
+        code, out, _ = invoke(capsys, "bounds", "--q", str(q), "--c", "3", "--d", "6",
+                              "--format", "csv")
+        assert code == 0, q
+        _, rows = parse_csv(out)
+        xs = [float(row[0]) for row in rows]
+        assert len(xs) == 1000
+        assert 0.0 < xs[0] < xs[-1] < 1.0 / q**2
+        assert xs[0] == (1e-6 if q < 1000 else xs[-1] / 10), q
 
 
 def test_bounds_distance_needs_l0_and_alpha(capsys):
@@ -382,6 +403,36 @@ def test_unknown_arguments_exit_2(capsys):
     assert code == 2
 
 
+def test_run_reuses_one_parser(capsys, monkeypatch):
+    argvs = (
+        ("spectrum", "--q", "2", "--c", "3", "--d", "6", "--n", "12"),
+        ("spectrum", "--q", "2", "--bogus", "1"),
+        ("simulate", "--q", "4", "--c", "2", "--d", "4", "--n", "6", "--trials", "20",
+         "--format", "csv"),
+        ("figure", "--id", "2"),
+        ("--help",),
+    )
+
+    def outputs():
+        seen = []
+        for argv in argvs:
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    assert cli._run_parser() is cli._run_parser()
+    assert cli.build_parser() is not cli.build_parser()
+    shared = outputs()
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0]
+    assert shared == outputs()
+    monkeypatch.setattr(cli, "_run_parser", cli.build_parser)
+    assert outputs() == shared
+
+
 def run_cli_process(*argv):
     """The CLI in a fresh interpreter, stopped after 30 s so a hang fails fast."""
     src = os.path.dirname(os.path.dirname(ldpc_spectra.__file__))
@@ -401,6 +452,17 @@ def test_huge_prime_q_exit_2_without_factoring():
         assert done.returncode == 2
         assert done.stdout == ""
         assert json.loads(done.stderr) == {"code": 2, "message": message}
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on the first sampled code: commands that sample
+    # nothing do not pay its import time and memory
+    probe = ("import sys, ldpc_spectra.cli; "
+             "print('numpy.random' in sys.modules, end='')")
+    src = os.path.dirname(os.path.dirname(ldpc_spectra.__file__))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=30, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout) == (0, "False")
 
 
 def test_capacity_errors_exit_3(capsys):

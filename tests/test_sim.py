@@ -21,6 +21,8 @@ from ldpc_spectra import (
     monte_carlo,
     sample_code,
 )
+from ldpc_spectra import _seeding, sim
+from ldpc_spectra._seeding import StateWords
 from ldpc_spectra.cli import _report_data
 from ldpc_spectra.kernels import count_weights
 from ldpc_spectra.linalg import kernel_basis
@@ -88,6 +90,79 @@ def test_sample_code_varies_with_seed():
     params = EnsembleParams(q=3, c=2, d=3, n=6)
     perms = {tuple(sample_code(params, s).permutation.tolist()) for s in range(8)}
     assert len(perms) > 1
+
+
+def seed_sequence_state(seed):
+    """generate_state(4, np.uint64) of numpy's SeedSequence, as Python ints."""
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+
+def entropy_words(seed):
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    return [w for part in parts for w in _seeding.int_words(part)]
+
+
+# one-word and multi-word ints, word boundaries, the enumerate 4-tuples, and
+# seeds of five or more words (past SeedSequence's pool of four)
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, (77, 0), (3, 2**32 - 1), (5, 2, 36, 0),
+         (2**31 - 1, 8, 24, 999), 2**130 + 3, (2**96 + 1, 2**32 + 7), (1, 2, 3, 4, 5, 6))
+
+
+def test_seed_hash_equals_seed_sequence():
+    for seed in SEEDS:
+        words = _seeding.seed_state(entropy_words(seed))
+        assert words == seed_sequence_state(seed), seed
+        halves = [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)]
+        assert halves == np.random.SeedSequence(seed).generate_state(8, np.uint32).tolist()
+        # the same hash on arrays: every element hashes as its own seed
+        columns = [np.full(3, w, np.uint64) for w in entropy_words(seed)]
+        assert [col.tolist() for col in _seeding.seed_state(columns)] == \
+            [[w] * 3 for w in words], seed
+        seeded = np.random.PCG64(StateWords(np.array(words, np.uint64)))
+        assert seeded.state == np.random.PCG64(np.random.SeedSequence(seed)).state, seed
+
+
+def test_trial_states_equal_seed_sequence():
+    for seed in (0, 7, 2**32 - 1, 2**64 + 5, 2**130 + 3):
+        for trials in (range(0, 5), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 1)):
+            got = _seeding.trial_states(seed, trials)
+            assert got.dtype == np.uint64 and got.flags.c_contiguous
+            assert got.tolist() == [seed_sequence_state((seed, t)) for t in trials], \
+                (seed, trials)
+
+
+def test_block_draws_equal_single_draws():
+    for q, c, d, n in ((2, 3, 6, 12), (4, 2, 4, 6), (5, 3, 6, 8)):
+        params = EnsembleParams(q=q, c=c, d=d, n=n)
+        field = build_field(q)
+        seed_seqs = [StateWords(words) for words in _seeding.trial_states(9, range(40, 70))]
+        perms, mults = sim._draw(params, seed_seqs)
+        for row, t in enumerate(range(40, 70)):
+            sample = sample_code(params, (9, t), field=field)
+            oracle_perm, oracle_mult = oracle_draw(params, (9, t))
+            assert perms[row].tolist() == sample.permutation.tolist() == oracle_perm.tolist()
+            assert mults[row].tolist() == sample.multipliers.tolist() == oracle_mult.tolist()
+
+
+def test_monte_carlo_makes_no_seed_sequence(monkeypatch):
+    params = EnsembleParams(q=4, c=2, d=4, n=6)
+    want = _report_data(monte_carlo(params, trials=300, seed=2**40 + 3, workers=2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SeedSequence built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    assert _report_data(monte_carlo(params, trials=300, seed=2**40 + 3, workers=2)) == want
+
+
+def test_sample_code_seed_errors_are_numpys():
+    params = EnsembleParams(q=2, c=3, d=6, n=12)
+    for seed, error, message in ((-1, ValueError, "expected non-negative integer"),
+                                 ((3, -1), ValueError, "expected non-negative integer"),
+                                 ((3, 1.5), TypeError, "seed must be integer"),
+                                 (1.5, TypeError, "SeedSequence expects int or sequence")):
+        with pytest.raises(error, match=message):
+            sample_code(params, seed)
 
 
 def test_enumerate_weights_examples():
@@ -250,8 +325,6 @@ def test_exhaustive_ensemble_tiny_cases():
 
 def test_exhaustive_counts_each_distinct_matrix_once(monkeypatch):
     # oracle: enumerate the parity matrix of every configuration, shared or not
-    import ldpc_spectra.sim as sim
-
     for q, c, d, n in ((2, 2, 4, 2), (3, 1, 3, 3)):
         params = EnsembleParams(q=q, c=c, d=d, n=n)
         field = build_field(q)
@@ -310,8 +383,6 @@ class InlineExecutor:
 
 
 def test_monte_carlo_thread_pool_capped(monkeypatch):
-    import ldpc_spectra.sim as sim
-
     params = EnsembleParams(q=2, c=3, d=6, n=12)
     baseline = _report_data(monte_carlo(params, trials=3, seed=5))
     monkeypatch.setattr(sim, "ThreadPoolExecutor", InlineExecutor)
@@ -398,8 +469,6 @@ def oracle_report(params, trials, seed, l0, alpha, filter_on):
 
 
 def test_batched_monte_carlo_matches_per_trial_oracle(monkeypatch):
-    import ldpc_spectra.sim as sim
-
     # blocks of 7 codes: trial counts below, at and past a multiple of it
     monkeypatch.setattr(sim, "_BLOCK", 7)
     seen_zero_column = seen_rank_deficient = False
@@ -420,8 +489,6 @@ def test_batched_monte_carlo_matches_per_trial_oracle(monkeypatch):
 
 
 def test_block_size_follows_code_size():
-    import ldpc_spectra.sim as sim
-
     small = EnsembleParams(q=2, c=3, d=6, n=12)
     large = EnsembleParams(q=2, c=5, d=6, n=120)
     assert sim._block_size(small) == sim._BLOCK_CELLS // (6 * 12)
@@ -430,8 +497,6 @@ def test_block_size_follows_code_size():
 
 
 def test_tally_sums_stay_exact_past_int64():
-    import ldpc_spectra.sim as sim
-
     # 2.5e9**2 fits in int64 and twice it does not
     big = 2_500_000_000
     counts = np.array([
@@ -459,8 +524,6 @@ def test_tally_sums_stay_exact_past_int64():
 
 
 def test_monte_carlo_capacity_refused_before_counting(monkeypatch):
-    import ldpc_spectra.sim as sim
-
     # (2,3,6,12) codes have dim 6 at full rank; a few draws lose rank
     params = EnsembleParams(q=2, c=3, d=6, n=12)
     rows = oracle_trials(params, 40, 1)
