@@ -101,12 +101,16 @@ class StateWords(ISeedSequence):
 
     PCG64 asks its seed sequence for generate_state(4, np.uint64) and seeds
     itself from the answer, so given these words it is the PCG64 keyed by
-    the SeedSequence that produced them.  words is a contiguous array of
-    four uint64 values.
+    the SeedSequence that produced them.  words holds four uint64 values;
+    any other request than PCG64's raises, since these words answer no other.
     """
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self.words = np.ascontiguousarray(words, np.uint64)
+        if self.words.shape != (4,):
+            raise ValueError(f"expected four state words, got shape {self.words.shape}")
 
     def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"state words are four uint64, asked for {n_words} {np.dtype(dtype)}")
         return self.words

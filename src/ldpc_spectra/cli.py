@@ -291,10 +291,12 @@ def _cmd_bounds(args):
     check_order(args.q)
     if args.grid_steps < 1:
         raise ParameterError(f"grid steps must be at least 1, got {args.grid_steps}")
-    # the grid ends just below 1/q**2 and starts at 1e-6, or one decade
-    # below its end where 1e-6 is not below it (q > 1000)
+    # the grid ends just below 1/q**2 and starts at 1e-6, or where 1e-6 is
+    # not below its end (q > 1000) one decade below it, but not below
+    # growth.ENDPOINT_BAND (bounds refuses q whose 1/q**2 is at the band)
     end = 1.0 / args.q**2 * (1.0 - 1e-9)
-    xs = np.geomspace(1e-6 if 1e-6 < end else end / 10, end, args.grid_steps)
+    start = 1e-6 if 1e-6 < end else max(end / 10, growth.ENDPOINT_BAND)
+    xs = np.geomspace(start, end, args.grid_steps)
     margin = bounds.smallx_inequality_margin(args.q, args.c, args.d, xs)
     min_distance = None
     if args.n is not None:

@@ -45,6 +45,11 @@ def test_margin_grid_domain_enforced():
         smallx_inequality_margin(2, 3, 6, np.array([0.0]))
     with pytest.raises(DomainError):
         smallx_inequality_margin(3, 3, 6, np.array([0.2]))    # above 1/9
+    # below ENDPOINT_BAND omega is its x = 0 value: H_q(x) > 0, a false margin
+    with pytest.raises(DomainError, match=r"grid must lie inside \[1e-08, "):
+        smallx_inequality_margin(2, 3, 6, np.array([1e-9, 1e-3]))
+    with pytest.raises(DomainError, match="no grid fits"):
+        smallx_inequality_margin(65536, 3, 6, np.array([1e-10]))
 
 
 def test_margin_matches_direct_formula():

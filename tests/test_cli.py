@@ -22,6 +22,7 @@ from ldpc_spectra import (
     small_weight_scaling,
 )
 from ldpc_spectra.cli import figure_data, run
+from ldpc_spectra.growth import ENDPOINT_BAND
 from ldpc_spectra.spectrum import DEFAULT_N_CAP
 
 
@@ -186,16 +187,32 @@ def test_bounds_checks_q_before_the_grid(capsys):
 
 
 def test_bounds_default_grid_below_inverse_square_q(capsys):
-    # 1/q**2 falls below the usual start 1e-6 past q = 1000
-    for q in (997, 1009, 65536):
+    # 1/q**2 falls below the usual start 1e-6 past q = 1000; the grid never
+    # starts below ENDPOINT_BAND, where omega is taken at x = 0
+    for q, start in ((997, 1e-6), (1009, None), (3125, None), (4096, ENDPOINT_BAND),
+                     (9973, ENDPOINT_BAND)):
         code, out, _ = invoke(capsys, "bounds", "--q", str(q), "--c", "3", "--d", "6",
                               "--format", "csv")
         assert code == 0, q
         _, rows = parse_csv(out)
         xs = [float(row[0]) for row in rows]
         assert len(xs) == 1000
-        assert 0.0 < xs[0] < xs[-1] < 1.0 / q**2
-        assert xs[0] == (1e-6 if q < 1000 else xs[-1] / 10), q
+        assert ENDPOINT_BAND <= xs[0] < xs[-1] < 1.0 / q**2
+        assert xs[0] == (xs[-1] / 10 if start is None else start), q
+        assert min(float(row[3]) for row in rows) > 0, q
+
+
+def test_bounds_refuses_q_with_no_grid_above_the_band(capsys):
+    # past q ~ 10000, 1/q**2 lies below ENDPOINT_BAND: an error, not a margin
+    code, out, _ = invoke(capsys, "bounds", "--q", "4096", "--c", "3", "--d", "6")
+    assert code == 0
+    assert json.loads(out)["data"]["smallx"]["min_margin"] > 0
+    for q in (10007, 65536):
+        code, out, err = invoke(capsys, "bounds", "--q", str(q), "--c", "3", "--d", "6")
+        assert (code, out) == (2, ""), q
+        assert json.loads(err) == {"code": 2, "message": (
+            f"1/q**2 = {1.0 / q**2} is not above {ENDPOINT_BAND}, "
+            "below which omega is not resolved; no grid fits")}, q
 
 
 def test_bounds_distance_needs_l0_and_alpha(capsys):

@@ -151,8 +151,30 @@ def test_monte_carlo_makes_no_seed_sequence(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("SeedSequence built")
 
+    # every PCG64 is keyed by precomputed state words, so numpy builds no
+    # SeedSequence inside PCG64 either
+    seen = []
+    pcg64 = np.random.PCG64
+
+    def recording_pcg64(seed_seq):
+        seen.append(type(seed_seq))
+        return pcg64(seed_seq)
+
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "PCG64", recording_pcg64)
     assert _report_data(monte_carlo(params, trials=300, seed=2**40 + 3, workers=2)) == want
+    assert len(seen) == 300 and set(seen) == {StateWords}
+
+
+def test_state_words_answer_only_pcg64():
+    words = _seeding.trial_states(3, range(2))
+    with pytest.raises(ValueError, match="four state words"):
+        StateWords(words)
+    seq = StateWords(words[1])
+    assert seq.generate_state(4, np.uint64) is seq.words
+    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="state words are four uint64"):
+            seq.generate_state(n_words, dtype)
 
 
 def test_sample_code_seed_errors_are_numpys():
