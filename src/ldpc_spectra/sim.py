@@ -14,7 +14,9 @@ draws the same) and multipliers from Generator.integers(1, q).
 
 Monte Carlo trials run in blocks.  A block's seeds are hashed together
 on numpy arrays into the state words numpy's SeedSequence gives
-(_seeding), numpy seeds each trial's PCG64 from its words, and numpy's
+(_seeding; tests/test_sim.py checks the words against SeedSequence and
+the generators against PCG64(SeedSequence(...))), numpy seeds each
+trial's PCG64 from its words, and numpy's
 shuffle and integers draw.  A single code keys its PCG64 with numpy's
 SeedSequence itself and is drawn as a block of one.  The draws of a block
 are stacked, and its matrices are assembled, reduced (linalg) and counted
