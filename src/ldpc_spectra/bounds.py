@@ -69,22 +69,17 @@ class MarginReport:
 
 
 def smallx_inequality_margin(q: int, c: int, d: int, x_grid) -> MarginReport:
-    """Evaluate bound - omega on a grid inside [ENDPOINT_BAND, 1/q**2).
+    """Evaluate bound - omega on a grid strictly inside (0, 1/q**2).
 
-    Below growth.ENDPOINT_BAND omega is taken at its x = 0 value, which is
-    no test of the bound there, so such grids (and every grid of a q with
-    1/q**2 at or below the band) are refused.
+    omega is resolved at every positive weight, so every supported q has a
+    grid; the margins test the bound at each grid point.
     """
     xs = np.ascontiguousarray(x_grid, np.float64)
     if xs.size == 0:
         raise ParameterError("empty grid")
     upper = 1.0 / q**2
-    if upper <= growth.ENDPOINT_BAND:
-        raise DomainError(
-            f"1/q**2 = {upper} is not above {growth.ENDPOINT_BAND}, "
-            "below which omega is not resolved; no grid fits")
-    if xs.min() < growth.ENDPOINT_BAND or xs.max() >= upper:
-        raise DomainError(f"grid must lie inside [{growth.ENDPOINT_BAND}, {upper})")
+    if xs.min() <= 0.0 or xs.max() >= upper:
+        raise DomainError(f"grid must lie strictly inside (0, {upper})")
     om = growth_rate_values(q, c, d, xs)
     k = kappa(q, c, d)
     bound = (c / 2.0 - 1.0) * xs * np.log(xs) + k * xs

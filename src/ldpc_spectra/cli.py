@@ -223,7 +223,7 @@ def _cmd_landmarks(args):
     if marks.x0 is not None:
         residuals["omega_at_x0"] = abs(growth.omega(args.q, args.c, args.d, marks.x0).omega)
     if marks.x3 is not None:
-        residuals["domega_at_x3"] = abs(growth.domega_floor(args.q, args.c, args.d, marks.x3))
+        residuals["domega_at_x3"] = abs(growth.domega(args.q, args.c, args.d, marks.x3))
     if marks.zhat2 is not None:
         residuals["xi_at_zhat2"] = abs(growth.xi(args.q, args.c, args.d, marks.zhat2))
     data = {
@@ -292,10 +292,9 @@ def _cmd_bounds(args):
     if args.grid_steps < 1:
         raise ParameterError(f"grid steps must be at least 1, got {args.grid_steps}")
     # the grid ends just below 1/q**2 and starts at 1e-6, or where 1e-6 is
-    # not below its end (q > 1000) one decade below it, but not below
-    # growth.ENDPOINT_BAND (bounds refuses q whose 1/q**2 is at the band)
+    # not below its end (q > 1000) one decade below it
     end = 1.0 / args.q**2 * (1.0 - 1e-9)
-    start = 1e-6 if 1e-6 < end else max(end / 10, growth.ENDPOINT_BAND)
+    start = 1e-6 if 1e-6 < end else end / 10
     xs = np.geomspace(start, end, args.grid_steps)
     margin = bounds.smallx_inequality_margin(args.q, args.c, args.d, xs)
     min_distance = None

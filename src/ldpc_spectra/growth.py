@@ -12,9 +12,16 @@ infimum over a tilt parameter of a single-check exponent:
     rho(xhat) = ln(1 + (q-1) * zhat**d),      zhat = 1 - q*xhat/(q-1).
 
 The infimum is attained where a strictly increasing rational map zeta of
-the tilt equals z = 1 - q*x/(q-1).  Bisection inverts x -> tilt for the
-curves; the landmarks are single roots in the tilt t, whose weight
-x(t) = (q-1)(1 - zeta(t))/q, omega and slope are closed forms in t
+the tilt zhat equals z = 1 - q*x/(q-1).  The tilt is carried as its gap
+s = 1 - zhat, which solves
+
+    1 - zeta(1 - s) = s**2 * S / (1 + (q-1) t**d) = q*x/(q-1),
+    t = 1 - s,  S = sum_{k<d-1} t**k,
+
+with no digit of x lost, so omega is resolved down to x = 1e-300 and only
+x = 0 itself takes its limit values.  Bisection inverts x -> gap for the
+curves; the landmarks are single roots in the gap, whose weight
+x(s) = (q-1)(1 - zeta(1 - s))/q, omega and slope are closed forms in s
 (Burshtein & Miller 2004; Di, Richardson & Urbanke 2006).  Extended reals
 are first class: delta and omega are -inf on the unreachable weight range
 of q = 2 with odd d, and one-sided endpoint slopes are +/-inf where they
@@ -33,8 +40,9 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, ParameterError
 from .gf import check_order
-from .kernels import BISECT_MAXIT, BISECT_TOL, powi
-# Width of the bands around x = 0 and x = x1 inside which evaluation
+from .kernels import BISECT_MAXIT, BISECT_TOL
+
+# Width of the band around the right endpoint x1 inside which evaluation
 # returns the analytic endpoint/limit values instead of solving.
 ENDPOINT_BAND = 1e-8
 
@@ -98,7 +106,7 @@ def rho(q: int, d: int, x: float) -> float:
         raise ParameterError(f"check degree must be at least 1, got {d}")
     _check_x(x)
     z = 1.0 - q * x / (q - 1.0)
-    arg = 1.0 + (q - 1.0) * powi(z, d)
+    arg = 1.0 + (q - 1.0) * z**d
     if arg <= 0.0:
         return -INF
     return math.log(arg)
@@ -116,7 +124,10 @@ def zeta(q: int, d: int, zhat: float) -> float:
     lo = -1.0 / (q - 1.0)
     if not lo - 1e-12 <= zhat <= 1.0 + 1e-12:
         raise DomainError(f"tilt {zhat} outside [{lo}, 1]")
-    return float(kernels.zeta(q, d, np.float64(zhat)))
+    if q == 2 and d % 2 == 1 and zhat == -1.0:
+        return 2.0 / d - 1.0
+    s = 1.0 - zhat
+    return float(1.0 - kernels.gap_map(q, d, s, s < 1.0 / d))
 
 
 def z_left_endpoint(q: int, d: int) -> float:
@@ -141,8 +152,8 @@ def solve_zhat1(q: int, d: int, z: float) -> float:
     """Invert zeta: the unique tilt zhat1 in [-1/(q-1), 1] with zeta(zhat1) = z.
 
     Raises DomainError when z lies below the left endpoint of zeta's range
-    (no tilt reaches it).  An interior root is clamped into the open
-    bracket by BISECT_TOL/2 so downstream logs stay finite.
+    (no tilt reaches it).  An interior root is 1 - s for the gap s solved
+    from 1 - z.
     """
     check_order(q)
     _check_d(d)
@@ -155,13 +166,7 @@ def solve_zhat1(q: int, d: int, z: float) -> float:
         return 0.0
     if z <= z1:
         return -1.0 / (q - 1.0)
-    return float(_solve_zhat_grid(q, d, np.array([z], np.float64))[0])
-
-
-def _solve_zhat_grid(q: int, d: int, z: np.ndarray) -> np.ndarray:
-    lo = -1.0 / (q - 1.0)
-    roots = kernels.solve_zhat_batch(q, d, z)
-    return np.clip(roots, lo + BISECT_TOL / 2, 1.0 - BISECT_TOL / 2)
+    return 1.0 - float(kernels.solve_gap_batch(q, d, np.array([1.0 - z]))[0])
 
 
 def delta_two_arg(q: int, d: int, x: float, xhat: float) -> float:
@@ -183,93 +188,117 @@ def delta_two_arg(q: int, d: int, x: float, xhat: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    m = x > 0.0
-    out[m] = x[m] * np.log(x[m])
-    return out
+def _entropy_open(x, q: int):
+    """H_q on (0, 1), floats or arrays; log1p keeps the ~x of -(1-x) ln(1-x)."""
+    return x * (math.log(q - 1.0) - np.log(x)) - (1.0 - x) * np.log1p(-x)
 
 
 def _entropy_vec(x: np.ndarray, q: int) -> np.ndarray:
-    out = -_xlogx(x) - _xlogx(1.0 - x)
-    if q > 2:
-        out = out + x * math.log(q - 1.0)
+    out = x * math.log(q - 1.0)
+    inner = (x > 0.0) & (x < 1.0)
+    out[inner] = _entropy_open(x[inner], q)
     return out
 
 
-def _divergence_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # y strictly interior; x may touch 0 or 1.
-    out = _xlogx(x) + _xlogx(1.0 - x)
-    out -= x * np.log(y) + (1.0 - x) * np.log(1.0 - y)
+# Closed forms at a gap s = 1 - t stationary for the weight x.  The curves
+# pass gaps solved from x, the landmarks pass x = x(s).  Each takes floats
+# or arrays whose gaps all lie on one side of 1/d: near (s < 1/d), where
+# t**(d-1) is within a factor e of 1 and its digits come from log1p of s,
+# or far.
+
+
+def _excess_coefficients(q: int, d: int) -> list[float]:
+    """Coefficients in u = d s, degree 0 upward, of the exact polynomial
+
+        N = (1 + (q-1) t**d)/q - (1 - xhat)**d
+          = sum_{k>=2} C(d, k) (-s)**k a (1 - a**(k-1)),   a = (q-1)/q.
+
+    Built by the term ratio of C(d, k)/d**k <= 1/k!, and cut where for
+    u < 1 a term falls below the float floor against the first, since
+    a (1 - a**(k-1)) <= (k-1) a (1-a).
+    """
+    a = (q - 1.0) / q
+    ratio = first = 0.5 * (d - 1.0) / d
+    coef = [0.0, 0.0]
+    for k in range(2, d + 1):
+        if (k - 1) * ratio < 2.0**-53 * first:
+            break
+        coef.append((-1) ** k * ratio * -a * math.expm1((k - 1) * math.log1p(-1.0 / q)))
+        ratio *= (d - k) / ((k + 1.0) * d)
+    return coef
+
+
+def _gain(q: int, d: int, x, s, near: bool, coef: list[float]):
+    """delta(x) - ln q at the gap s stationary for the weight x.
+
+    d [x ln(x/xhat) + (1-x) ln(1-x) + x ln(1-xhat)] + E, xhat = (q-1) s/q,
+    where E = rho - ln q - d ln(1 - xhat) = O(s**2).  Near, E is
+    log1p(N / (1 - xhat)**d) with N of _excess_coefficients, so no O(s)
+    terms cancel; far, E is taken directly.
+    """
+    xh = (q - 1.0) / q * s
+    if near:
+        excess = np.log1p(_horner(coef, d * s) * np.exp(-d * np.log1p(-xh)))
+    else:
+        td = kernels.tilt_powers(d, s, near)[2]
+        excess = np.log((1.0 + (q - 1.0) * td) / q) - d * np.log1p(-xh)
+    return d * (x * np.log(x / xh) + (1.0 - x) * np.log1p(-x) + x * np.log1p(-xh)) + excess
+
+
+def _slope(q: int, c: int, d: int, s, near: bool):
+    """omega'(x) = ln[(1 + (q-1) t)/s] + (c-1) ln[(1 - t**(d-1))/(1 + (q-1) t**(d-1))]."""
+    p, m, _ = kernels.tilt_powers(d, s, near)
+    return (math.log(q) + np.log1p(-(q - 1.0) / q * s) - np.log(s)
+            + (c - 1) * (np.log(m) - np.log1p((q - 1.0) * p)))
+
+
+def _sides(d: int, s: np.ndarray, form) -> np.ndarray:
+    """form(mask, near) on the gaps below 1/d and on the rest, in one array."""
+    out = np.empty_like(s)
+    near = s < 1.0 / d
+    for mask, side in ((near, True), (~near, False)):
+        out[mask] = form(mask, side)
     return out
-
-
-# Closed forms at a tilt t stationary for the weight x.  The curves pass
-# tilts solved from x, the landmarks pass x = x(t).
-
-
-def _tilt_weight(q: int, d: int, t):
-    return (q - 1.0) * (1.0 - kernels.zeta(q, d, t)) / q
-
-
-def _tilt_delta(q: int, d: int, x: np.ndarray, t: np.ndarray):
-    qm1 = q - 1.0
-    xhat = (qm1 / q) * (1.0 - t)
-    return d * _divergence_vec(x, xhat) + np.log(1.0 + qm1 * powi(t, d)), xhat
-
-
-def _tilt_omega(q: int, c: int, d: int, x: np.ndarray, dval: np.ndarray) -> np.ndarray:
-    return _entropy_vec(x, q) + (c / d) * (dval - math.log(q))
-
-
-def _tilt_domega(q: int, c: int, d: int, t):
-    qm1 = q - 1.0
-    td1 = powi(t, d - 1)
-    return np.log((1.0 + qm1 * t) / (1.0 - t)) + (c - 1) * np.log(
-        (1.0 - td1) / (1.0 + qm1 * td1)
-    )
 
 
 def _region_masks(q: int, d: int, x: np.ndarray):
     x1 = x1_right_endpoint(q, d)
-    near0 = x < ENDPOINT_BAND
     near1 = np.abs(x - x1) <= ENDPOINT_BAND
     beyond = (x > x1 + ENDPOINT_BAND) & ~near1
-    interior = ~(near0 | near1 | beyond)
-    return near0, near1, beyond, interior
+    interior = (x > 0.0) & ~(near1 | beyond)
+    return near1, beyond, interior
 
 
 def _delta_grid(q: int, d: int, x: np.ndarray):
-    """Vector delta evaluation: returns (value, zhat1, xhat1, z) arrays."""
-    qm1 = q - 1.0
-    z = 1.0 - q * x / qm1
-    value = np.empty_like(x)
-    zh = np.empty_like(x)
-    xh = np.empty_like(x)
-    near0, near1, beyond, interior = _region_masks(q, d, x)
+    """Vector delta evaluation: (delta - ln q, zhat1, xhat1, s) arrays.
 
-    value[near0] = math.log(q)
-    zh[near0] = 1.0
-    xh[near0] = 0.0
+    s is the solved gap 1 - zhat1 at interior weights and 0 elsewhere.
+    """
+    qm1 = q - 1.0
+    gain = np.zeros_like(x)
+    s = np.zeros_like(x)
+    zh = np.ones_like(x)
+    xh = np.zeros_like(x)
+    near1, beyond, interior = _region_masks(q, d, x)
 
     if q == 2 and d % 2 == 1:
-        x1_value = math.log(2 * d) - d * entropy_q(1.0 / d, 2)
-        value[near1] = x1_value
-        zh[near1] = -1.0
-        xh[near1] = 1.0
-        value[beyond] = -INF
-        zh[beyond] = -1.0
-        xh[beyond] = 1.0
+        gain[near1] = math.log(2 * d) - d * entropy_q(1.0 / d, 2) - math.log(2)
+        gain[beyond] = -INF
+        zh[near1 | beyond] = -1.0
     else:
-        value[near1] = rho(q, d, 1.0)
+        gain[near1] = rho(q, d, 1.0) - math.log(q)
         zh[near1] = -1.0 / qm1
-        xh[near1] = 1.0
+    xh[near1 | beyond] = 1.0
 
     if interior.any():
-        zi = _solve_zhat_grid(q, d, z[interior])
-        value[interior], xh[interior] = _tilt_delta(q, d, x[interior], zi)
-        zh[interior] = zi
-    return value, zh, xh, z
+        xi = x[interior]
+        si = kernels.solve_gap_batch(q, d, q * xi / qm1)
+        coef = _excess_coefficients(q, d)
+        gain[interior] = _sides(d, si, lambda k, near: _gain(q, d, xi[k], si[k], near, coef))
+        s[interior] = si
+        zh[interior] = 1.0 - si
+        xh[interior] = qm1 / q * si
+    return gain, zh, xh, s
 
 
 def _domega_limit_zero(q: int, c: int, d: int) -> float:
@@ -292,15 +321,16 @@ def _domega_limit_x1(q: int, c: int, d: int) -> float:
 
 def _omega_grid(q: int, c: int, d: int, x: np.ndarray):
     """Vector omega evaluation: returns (omega, domega) arrays."""
-    dval, zh, _, _ = _delta_grid(q, d, x)
-    om = _tilt_omega(q, c, d, x, dval)
+    gain, _, _, s = _delta_grid(q, d, x)
+    om = _entropy_vec(x, q) + (c / d) * gain
     dom = np.empty_like(x)
-    near0, near1, beyond, interior = _region_masks(q, d, x)
-    dom[near0] = _domega_limit_zero(q, c, d)
+    near1, beyond, interior = _region_masks(q, d, x)
+    dom[x == 0.0] = _domega_limit_zero(q, c, d)
     dom[near1] = _domega_limit_x1(q, c, d)
     dom[beyond] = math.nan
     if interior.any():
-        dom[interior] = _tilt_domega(q, c, d, zh[interior])
+        si = s[interior]
+        dom[interior] = _sides(d, si, lambda k, near: _slope(q, c, d, si[k], near))
     return om, dom
 
 
@@ -337,15 +367,15 @@ class GrowthPoint:
 def delta(q: int, d: int, x: float) -> DeltaEval:
     """Evaluate the inner infimum delta(x) with its minimizer.
 
-    Within 1e-8 of x = 0 or of the right endpoint x1 the analytic
-    endpoint/limit values are returned directly.
+    At x = 0 and within ENDPOINT_BAND of the right endpoint x1 the analytic
+    endpoint/limit values are returned directly; every other x is solved.
     """
     check_order(q)
     _check_d(d)
     _check_x(x)
-    xs = np.array([x], np.float64)
-    value, zh, xh, z = _delta_grid(q, d, xs)
-    return DeltaEval(x=x, z=float(z[0]), zhat1=float(zh[0]), xhat1=float(xh[0]), value=float(value[0]))
+    gain, zh, xh, _ = _delta_grid(q, d, np.array([x], np.float64))
+    return DeltaEval(x=x, z=1.0 - q * x / (q - 1.0), zhat1=float(zh[0]), xhat1=float(xh[0]),
+                     value=float(gain[0] + math.log(q)))
 
 
 def omega(q: int, c: int, d: int, x: float) -> GrowthPoint:
@@ -375,12 +405,12 @@ def domega_alt(q: int, c: int, d: int, x: float) -> float:
     """Derivative of the growth rate in the weight form (equal to domega).
 
     d omega/dx = ln[(x/(1-x))**(c-1) * ((1-xhat1)/xhat1)**c] + ln(q-1).
-    Only defined for x strictly inside (0, x1).
+    Only defined for x strictly inside (0, x1), short of the band at x1.
     """
     _check_c(c)
     x1 = x1_right_endpoint(q, d)
-    if not ENDPOINT_BAND <= x <= x1 - ENDPOINT_BAND:
-        raise DomainError(f"weight-form derivative needs x inside ({ENDPOINT_BAND}, {x1 - ENDPOINT_BAND})")
+    if not 0.0 < x <= x1 - ENDPOINT_BAND:
+        raise DomainError(f"weight-form derivative needs x inside (0, {x1 - ENDPOINT_BAND}]")
     xh = delta(q, d, x).xhat1
     return (
         (c - 1) * math.log(x / (1.0 - x))
@@ -407,8 +437,8 @@ def delta_curve(q: int, d: int, xs):
     xs = np.ascontiguousarray(xs, np.float64)
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise DomainError("weights must lie in [0, 1]")
-    value, zh, xh, _ = _delta_grid(q, d, xs)
-    return value, zh, xh
+    gain, zh, xh, _ = _delta_grid(q, d, xs)
+    return gain + math.log(q), zh, xh
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +533,10 @@ def _bisect(f, lo: float, hi: float) -> float:
 def landmarks(q: int, c: int, d: int) -> Landmarks:
     """Locate the landmark weights of omega for one ensemble.
 
-    Each landmark is one bisection root in the tilt t, run to the floating
-    point floor, with weight x(t) = (q-1)(1 - zeta(t))/q falling from
-    1 - 1/q to 0 over t in [0, 1]: zhat2 is a root of xi, t3 of omega'(t)
-    on (0, 1), and t0 of omega(t) on (0, t3).
+    Each landmark is one bisection root, run to the floating point floor
+    on Python floats, with weight x(s) = (q-1)(1 - zeta(1 - s))/q rising
+    from 0 to 1 - 1/q over the gap s in [0, 1]: zhat2 is a root of xi in the
+    tilt, s3 of omega'(s) on (0, 1), and s0 of omega(s) on (s3, 1).
     """
     check_order(q)
     _check_c(c)
@@ -522,6 +552,7 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
 
     coef = xi_coefficients(q, c, d)
     poly = lambda t: _horner(coef, t)
+    weight = lambda s: float((q - 1.0) / q * kernels.gap_map(q, d, s, s < 1.0 / d))
     wants_x2 = c >= 3 or (c == 2 and q >= 3)
     if wants_x2:
         if c >= 3:
@@ -533,42 +564,30 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
             else:
                 # xi(1) = 0 exactly when c = 2: the flip degenerates to the edge.
                 zhat2 = 1.0
-        x2 = float(_tilt_weight(q, d, zhat2))
+        x2 = weight(1.0 - zhat2)
 
     if q == 2 and d % 2 == 0 and c >= 3:
         zhat2_neg = _bisect(poly, -1.0 + 1e-12, -1e-12)
 
     if c >= 3:
-        # omega'(t) > 0 on (0, t3), -> -inf as t -> 1, and 0 at the peak t = 0.
-        t3 = _bisect(lambda t: _tilt_domega(q, c, d, t), 1e-6, 1.0 - 1e-12)
-        x3 = float(_tilt_weight(q, d, t3))
+        # omega'(s) -> -inf as s -> 0, > 0 on (s3, 1), and 0 at the peak s = 1.
+        s3 = _bisect(lambda s: _slope(q, c, d, s, s < 1.0 / d), 1e-300, 1.0 - 1e-6)
+        x3 = weight(s3)
         if c == d:
             x0 = (q - 1.0) / q
         else:
-            # omega(0) = (1 - c/d) ln q > 0 and omega(t3) < 0.
-            def omega_at(t: float) -> float:
-                ts = np.array([t])
-                xs = _tilt_weight(q, d, ts)
-                return _tilt_omega(q, c, d, xs, _tilt_delta(q, d, xs, ts)[0])[0]
+            # omega(s3) < 0 and omega(1) = (1 - c/d) ln q > 0.
+            excess = _excess_coefficients(q, d)
 
-            x0 = float(_tilt_weight(q, d, _bisect(omega_at, 0.0, t3)))
+            def omega_at(s: float) -> float:
+                x = weight(s)
+                return _entropy_open(x, q) + (c / d) * _gain(q, d, x, s, s < 1.0 / d, excess)
+
+            x0 = weight(_bisect(omega_at, s3, 1.0))
 
     return Landmarks(
         q=q, c=c, d=d, x1=x1, x0=x0, x2=x2, x3=x3, zhat2=zhat2, zhat2_neg=zhat2_neg
     )
-
-
-def domega_floor(q: int, c: int, d: int, x: float) -> float:
-    """domega at an interior x in (0, 1 - 1/q), its tilt solved to the floor.
-
-    domega's tilt solve stops at bracket width BISECT_TOL, which near a root
-    of the slope leaves an error of about |d domega/dt| * BISECT_TOL: enough
-    to swamp the residual at the landmark x3 for large d (4.8e-10 at
-    (2, 3, 48)).  Here the tilt is bisected to the floating point floor.
-    """
-    z = 1.0 - q * x / (q - 1.0)
-    t = _bisect(lambda t: kernels.zeta(q, d, t) - z, 0.0, 1.0)
-    return float(_tilt_domega(q, c, d, t))
 
 
 def gv_threshold(q: int, r: float) -> float:
@@ -600,7 +619,6 @@ __all__ = [
     "divergence",
     "domega",
     "domega_alt",
-    "domega_floor",
     "entropy_q",
     "gv_threshold",
     "landmarks",

@@ -1,12 +1,13 @@
 """Numpy kernels: Hamming weight counts over all combinations of a basis
 (sim), bit-packed over GF(2**k) and byte-per-symbol over odd
-characteristic, and the tilt map zeta with its batched bisection inverse
-(growth).
+characteristic, and the tilt map in the gap s = 1 - t with its batched
+bisection inverse (growth).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -183,55 +184,71 @@ def _count_packed(basis, k, mul_table):
 
 
 # ---------------------------------------------------------------------------
-# Kernel 2: the tilt map zeta and its batched inverse
+# Kernel 2: the tilt map as a function of the gap s = 1 - t, and its
+# batched inverse
 # ---------------------------------------------------------------------------
 
-# Bracket width at which a bisection may stop, and its iteration cap.
+# Relative bracket width of the gap solve, and the iteration cap of the
+# scalar bisections run to the floating point floor.
 BISECT_TOL = 1e-12
 BISECT_MAXIT = 200
 
 
-def powi(t, e):
-    """t**e, e >= 1, by repeated multiplication: bit-equal for floats and arrays."""
-    out = t
-    for _ in range(e - 1):
-        out = out * t
-    return out
+def tilt_powers(d, s, near):
+    """(t**(d-1), 1 - t**(d-1), t**d) at the tilt t = 1 - s, floats or arrays.
 
-
-def zeta(q, d, t):
-    """(t + t**(d-1) + (q-2) t**d) / (1 + (q-1) t**d) for numpy floats or arrays.
-
-    Strictly increasing on [-1/(q-1), 1]; for q = 2 and odd d the 0/0 at
-    t = -1 takes its continuous extension 2/d - 1.
+    near: through log1p and expm1 of s itself, for gaps s <= 1, so that no
+    digit of a small gap is lost.  Otherwise plain powers of t, for any gap
+    in [0, q/(q-1)], exact to rounding where (d-1) s is not small; |t| is
+    raised, since numpy's power is slow on negative bases.
     """
-    tp = powi(t, d - 1)
-    td = tp * t
-    num = t + tp + (q - 2.0) * td
-    den = 1.0 + (q - 1.0) * td
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    if q == 2 and d % 2 == 1:
-        out = np.where(t == -1.0, 2.0 / d - 1.0, out)
-    return out
+    t = 1.0 - s
+    if near:
+        lt = (d - 1) * np.log1p(-s)
+        p = np.exp(lt)
+        return p, -np.expm1(lt), p * t
+    p = np.abs(t) ** (d - 1)
+    if d % 2 == 0:
+        p = np.copysign(p, t)
+    return p, 1.0 - p, p * t
 
 
-def solve_zhat_batch(q, d, z):
-    """Solve zeta(t) = z[i] elementwise for t in [-1/(q-1), 1] by bisection.
+def gap_map(q, d, s, near):
+    """1 - zeta(1 - s) = s (1 - t**(d-1)) / (1 + (q-1) t**d), t = 1 - s."""
+    _, m, pd = tilt_powers(d, s, near)
+    return s * m / (1.0 + (q - 1.0) * pd)
 
-    Each element stops at bracket width BISECT_TOL or the floating point
-    floor, within BISECT_MAXIT iterations.
+
+def solve_gap_batch(q, d, w):
+    """Solve 1 - zeta(1 - s) = w[i] elementwise for the gap s by bisection.
+
+    w = q x / (q-1) > 0 carries every digit of the weight x.  The gap map
+    over s**2 lies in [1/q, d-1] for s <= 1, so w < 1 has its root in
+    [sqrt(w/(d-1)), min(1, sqrt(q w))]; w >= 1 has it in [1, q/(q-1)].
+    Every element is halved the same fixed number of times, enough for a
+    relative width BISECT_TOL from the widest bracket, so each root is
+    independent of the rest of the batch.
     """
-    z = np.ascontiguousarray(z, np.float64)
-    lo = np.full(z.shape, -1.0 / (q - 1.0), np.float64)
-    hi = np.ones(z.shape, np.float64)
-    for _ in range(BISECT_MAXIT):
-        mid = 0.5 * (lo + hi)
-        active = ~((mid == lo) | (mid == hi) | ((hi - lo) <= BISECT_TOL))
-        if not active.any():
-            break
-        fv = zeta(q, d, mid)
-        below = (fv < z) & active
-        lo = np.where(below, mid, lo)
-        hi = np.where(~below & active, mid, hi)
-    return 0.5 * (lo + hi)
+    w = np.ascontiguousarray(w, np.float64)
+    steps = math.ceil(math.log2(math.sqrt(q * (d - 1.0)) / BISECT_TOL))
+    s = np.empty_like(w)
+    near = w < 1.0
+    # log1p(-1) = -inf at s = 1 gives the exact powers of t = 0
+    with np.errstate(divide="ignore"):
+        for mask, side in ((near, True), (~near, False)):
+            if mask.any():
+                s[mask] = _halve(q, d, side, w[mask], steps)
+    return s
+
+
+def _halve(q, d, near, w, steps):
+    """Bisect gap_map(s) = w from the bracket of solve_gap_batch by steps
+    halvings of its width.
+    """
+    lo = np.sqrt(w / (d - 1.0)) if near else np.ones_like(w)
+    width = (np.minimum(np.sqrt(q * w), 1.0) if near else q / (q - 1.0)) - lo
+    for _ in range(steps):
+        width = 0.5 * width
+        mid = lo + width
+        lo = np.where(gap_map(q, d, mid, near) < w, mid, lo)
+    return lo + 0.5 * width

@@ -45,11 +45,17 @@ def test_margin_grid_domain_enforced():
         smallx_inequality_margin(2, 3, 6, np.array([0.0]))
     with pytest.raises(DomainError):
         smallx_inequality_margin(3, 3, 6, np.array([0.2]))    # above 1/9
-    # below ENDPOINT_BAND omega is its x = 0 value: H_q(x) > 0, a false margin
-    with pytest.raises(DomainError, match=r"grid must lie inside \[1e-08, "):
-        smallx_inequality_margin(2, 3, 6, np.array([1e-9, 1e-3]))
-    with pytest.raises(DomainError, match="no grid fits"):
-        smallx_inequality_margin(65536, 3, 6, np.array([1e-10]))
+    with pytest.raises(DomainError, match=r"grid must lie strictly inside \(0, 0.25\)"):
+        smallx_inequality_margin(2, 3, 6, np.array([-1e-9, 1e-3]))
+
+
+def test_margin_positive_down_to_tiny_weights():
+    # omega is resolved at every positive weight, so the bound is tested
+    # there too: omega ~ (c/2 - 1) x ln x lies below the bound by ~kappa x
+    for q, c, d in [(2, 3, 6), (4, 3, 6), (65536, 3, 6), (65521, 4, 8)]:
+        xs = np.geomspace(1e-300, (1 / q**2) * (1 - 1e-9), 500)
+        rep = smallx_inequality_margin(q, c, d, xs)
+        assert rep.min_margin > 0, (q, c, d)
 
 
 def test_margin_matches_direct_formula():

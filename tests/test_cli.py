@@ -22,7 +22,6 @@ from ldpc_spectra import (
     small_weight_scaling,
 )
 from ldpc_spectra.cli import figure_data, run
-from ldpc_spectra.growth import ENDPOINT_BAND
 from ldpc_spectra.spectrum import DEFAULT_N_CAP
 
 
@@ -125,12 +124,31 @@ def test_landmarks_json(capsys):
 
 
 def test_landmarks_slope_residual_large_d(capsys):
-    # the slope residual is taken at a tilt solved to the floating point
-    # floor; a tilt solve stopped at BISECT_TOL leaves 4.8e-10 here
-    code, out, _ = invoke(capsys, "landmarks", "--q", "2", "--c", "3", "--d", "48")
+    # the slope is steep in the tilt at large d: a tilt solved to an
+    # absolute width of 1e-12 left 4.8e-10 at d = 48.  From d = 500 on x3,
+    # and from d = 1000 on x0, lie below 1e-8, where omega used to be taken
+    # at x = 0
+    for d in (48, 500, 1000, 2000):
+        code, out, _ = invoke(capsys, "landmarks", "--q", "2", "--c", "3", "--d", str(d))
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert all(abs(v) < 1e-10 for v in data["residuals"].values()), (d, data)
+        assert 0 < data["x3"] < data["x0"], (d, data)
+        assert (data["x3"] < 1e-8) == (d >= 500), (d, data)
+
+
+def test_growth_resolves_weights_below_1e8(capsys):
+    # omega ~ (c/2 - 1) x ln x < 0 falls smoothly from x = 0; the x = 0
+    # value used to stand for every x < 1e-8 (omega = +2.2e-8, slope -inf
+    # at x = 1e-9)
+    code, out, _ = invoke(capsys, "growth", "--q", "2", "--c", "3", "--d", "6",
+                          "--xmin", "1e-9", "--xmax", "2e-8", "--steps", "5", "--format", "csv")
     assert code == 0
-    residuals = json.loads(out)["data"]["residuals"]
-    assert all(abs(v) < 1e-10 for v in residuals.values()), residuals
+    _, rows = parse_csv(out)
+    om = [float(row[1]) for row in rows]
+    dom = [float(row[2]) for row in rows]
+    assert all(v < 0 for v in om) and all(a > b for a, b in zip(om, om[1:])), om
+    assert all(math.isfinite(v) and v < 0 for v in dom), dom
 
 
 def test_landmarks_low_c_serializes_absent_fields(capsys):
@@ -187,32 +205,18 @@ def test_bounds_checks_q_before_the_grid(capsys):
 
 
 def test_bounds_default_grid_below_inverse_square_q(capsys):
-    # 1/q**2 falls below the usual start 1e-6 past q = 1000; the grid never
-    # starts below ENDPOINT_BAND, where omega is taken at x = 0
-    for q, start in ((997, 1e-6), (1009, None), (3125, None), (4096, ENDPOINT_BAND),
-                     (9973, ENDPOINT_BAND)):
+    # 1/q**2 falls below the usual start 1e-6 past q = 1000; the grid then
+    # starts one decade below its end, and every supported q has a margin
+    for q in (997, 1009, 3125, 4096, 9973, 10007, 65521, 65536):
         code, out, _ = invoke(capsys, "bounds", "--q", str(q), "--c", "3", "--d", "6",
                               "--format", "csv")
         assert code == 0, q
         _, rows = parse_csv(out)
         xs = [float(row[0]) for row in rows]
         assert len(xs) == 1000
-        assert ENDPOINT_BAND <= xs[0] < xs[-1] < 1.0 / q**2
-        assert xs[0] == (xs[-1] / 10 if start is None else start), q
+        assert 0 < xs[0] < xs[-1] < 1.0 / q**2
+        assert xs[0] == (1e-6 if q < 1000 else xs[-1] / 10), q
         assert min(float(row[3]) for row in rows) > 0, q
-
-
-def test_bounds_refuses_q_with_no_grid_above_the_band(capsys):
-    # past q ~ 10000, 1/q**2 lies below ENDPOINT_BAND: an error, not a margin
-    code, out, _ = invoke(capsys, "bounds", "--q", "4096", "--c", "3", "--d", "6")
-    assert code == 0
-    assert json.loads(out)["data"]["smallx"]["min_margin"] > 0
-    for q in (10007, 65536):
-        code, out, err = invoke(capsys, "bounds", "--q", str(q), "--c", "3", "--d", "6")
-        assert (code, out) == (2, ""), q
-        assert json.loads(err) == {"code": 2, "message": (
-            f"1/q**2 = {1.0 / q**2} is not above {ENDPOINT_BAND}, "
-            "below which omega is not resolved; no grid fits")}, q
 
 
 def test_bounds_distance_needs_l0_and_alpha(capsys):
