@@ -10,7 +10,7 @@ contract and are documented as unspecified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -162,16 +162,7 @@ def zero_column_filtered_bound(params: EnsembleParams, alpha: float) -> MinDista
     filter implemented by the simulator; other filters are an extension
     point, not implemented.
     """
-    base = min_distance_bound(params, 2, alpha)
-    return MinDistanceBoundReport(
-        params=base.params,
-        l0=base.l0,
-        alpha=base.alpha,
-        Delta=base.Delta,
-        exponent_term=base.exponent_term,
-        exp_term=base.exp_term,
-        filtered=True,
-    )
+    return replace(min_distance_bound(params, 2, alpha), filtered=True)
 
 
 def taylor_check(d: int, x_grid) -> float:

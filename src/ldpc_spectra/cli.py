@@ -2,8 +2,9 @@
 
 Every subcommand writes one document (CSV or JSON) to stdout or --output;
 the document is rendered in full first, so a failed run writes nothing.
-Exit codes: 0 success, 2 parameter/domain errors, 3 capacity errors; error
-details go to stderr as a single JSON object {"code": ..., "message": ...}.
+Exit codes: 0 success, 2 parameter/domain errors, 3 capacity errors (a cap,
+or a request too large to allocate); error details go to stderr as a single
+JSON object {"code": ..., "message": ...}.
 
 Floating point values serialize with repr (shortest round-trip); infinities
 use the literal strings "inf"/"-inf" in both formats.  Exact rationals are
@@ -39,18 +40,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _nonfinite(x: float) -> str:
-    """The literal "inf", "-inf" or "nan" of a non-finite float."""
-    if math.isnan(x):
-        return "nan"
-    return "inf" if x > 0 else "-inf"
-
-
-def float_token(x: float) -> str:
-    """CSV token for a float: repr, with bare inf/-inf/nan literals."""
-    return repr(float(x)) if math.isfinite(x) else _nonfinite(x)
-
-
 # Digits per chunk of digit_string: below 640, the smallest nonzero limit
 # sys.set_int_max_str_digits accepts, so str() of a chunk never refuses.
 _DIGIT_CHUNK = 600
@@ -76,11 +65,11 @@ def digit_string(value: int) -> str:
 def jsonable(value):
     """Map a result value onto JSON-encodable structures.
 
-    Non-finite floats become the strings "inf"/"-inf"/"nan" and numpy
-    scalars become Python numbers.
+    Non-finite floats become their repr, the strings "inf"/"-inf"/"nan"
+    that CSV shows too, and numpy scalars become Python numbers.
     """
     if isinstance(value, float):
-        return value if math.isfinite(value) else _nonfinite(value)
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -120,8 +109,8 @@ def _meta_parameters(args) -> dict:
 def emit_csv(header, rows, out) -> None:
     """Write rows of ints, strings and Python floats as CSV.
 
-    csv writes a float as str(x), which is its repr with inf/-inf/nan for
-    non-finite values: the token float_token gives.
+    csv writes a float as str(x): its repr, which is the bare literal
+    inf, -inf or nan for a non-finite value.
     """
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -374,13 +363,14 @@ FIGURE_OMEGA_SETS = {2: (2, 5), 3: (2, 6), 4: (3, 5), 5: (3, 6)}
 FIGURE_STEPS = 1001
 
 
-def figure_data(fig_id: int) -> tuple[list[str], list[list[str]]]:
+def figure_data(fig_id: int) -> tuple[list[str], list[tuple]]:
     """Header and rows of the reference curve families for figure ids 1-5.
 
     Figure 1 tabulates the inner exponent delta for (q, d) in
     {(2,5), (2,6), (3,5), (3,6)}; figures 2-5 tabulate omega for
     c in {1, 2, 3} at those same (q, d) pairs, one pair per figure.
-    All figures sample 1001 uniform weights on [0, 1].
+    All figures sample 1001 uniform weights on [0, 1]; rows hold Python
+    floats.
     """
     xs = np.linspace(0.0, 1.0, FIGURE_STEPS)
     if fig_id == 1:
@@ -392,7 +382,7 @@ def figure_data(fig_id: int) -> tuple[list[str], list[list[str]]]:
         columns = [growth.omega_curve(q, c, d, xs)[0] for c in (1, 2, 3)]
     else:
         raise ParameterError(f"figure id must be 1..5, got {fig_id}")
-    return header, [[float_token(v) for v in row] for row in _columns(xs, *columns)]
+    return header, _columns(xs, *columns)
 
 
 def _cmd_figure(args):
@@ -494,7 +484,7 @@ def run(argv=None) -> int:
     except ParameterError as exc:
         sys.stderr.write(json.dumps({"code": 2, "message": str(exc)}) + "\n")
         return 2
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"code": 3, "message": str(exc)}) + "\n")
         return 3
     return 0

@@ -1,12 +1,11 @@
-"""Numpy kernels: Hamming weight counts over all combinations of a basis
-(sim), bit-packed over GF(2**k) and byte-per-symbol over odd
-characteristic, and the tilt map in the gap s = 1 - t with its batched
-bisection inverse (growth).
+"""Numpy kernels: Hamming weight counts over all combinations of each basis
+of a (batch, dim, n) stack (sim), bit-packed over GF(2**k) and
+byte-per-symbol over odd characteristic, and the tilt map in the gap
+s = 1 - t with its batched bisection inverse (growth).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -33,10 +32,10 @@ def count_weights(basis, q, add_table, mul_table):
 
     Parameters
     ----------
-    basis : (dim, n) or (batch, dim, n) uint8 array
-        Rows span the code; all combinations are enumerated, so rows should
-        be linearly independent if each codeword is to be visited once.  A
-        stack holds bases of one dimension; a single basis is a stack of one.
+    basis : (batch, dim, n) uint8 array
+        A stack of bases of one dimension; one basis is a stack of one.
+        Rows span a code; all combinations are enumerated, so rows should
+        be linearly independent if each codeword is to be visited once.
     q : int
         Field order; tables must come from the matching FieldSpec.
     add_table, mul_table : numpy arrays
@@ -44,25 +43,13 @@ def count_weights(basis, q, add_table, mul_table):
 
     Returns
     -------
-    (n + 1,) or (batch, n + 1) int64 array
-        counts[w] = number of enumerated words of weight w; sums to q**dim.
+    (batch, n + 1) int64 array
+        counts[b, w] = number of enumerated words of weight w of basis b;
+        each row sums to q**dim.
     """
     if q & (q - 1) == 0:
         return _count_packed(basis, q.bit_length() - 1, mul_table)
     return _count_bytes(basis, add_table, mul_table)
-
-
-def _stacked(count):
-    """Let a counter of (batch, dim, n) stacks take one (dim, n) basis as a
-    stack of one.
-    """
-    @functools.wraps(count)
-    def counter(basis, *args):
-        basis = np.asarray(basis, np.uint8)
-        if basis.ndim == 3:
-            return count(basis, *args)
-        return count(basis[None], *args)[0]
-    return counter
 
 
 def _chunks(batch, high, low):
@@ -75,10 +62,10 @@ def _chunks(batch, high, low):
 
 
 def _binned(weights, n):
-    """(t, n + 1) weight counts of the (t, ...) per-basis weights."""
+    """(t, n + 1) weight counts of the (t, high, low) per-basis weights."""
     t = len(weights)
     if t > 1:
-        weights = weights + (np.arange(t) * (n + 1)).reshape((t,) + (1,) * (weights.ndim - 1))
+        weights = weights + (np.arange(t) * (n + 1))[:, None, None]
     return np.bincount(weights.ravel(), minlength=t * (n + 1)).reshape(t, n + 1)
 
 
@@ -92,7 +79,6 @@ def _span(rows, add_table, mul_table):
     return words
 
 
-@_stacked
 def _count_bytes(basis, add_table, mul_table):
     """count_weights on byte symbols; valid for any tabled field, and the
     path taken for odd characteristic.
@@ -147,7 +133,6 @@ def _xor_span(gens):
     return span
 
 
-@_stacked
 def _count_packed(basis, k, mul_table):
     """count_weights over GF(2**k) on bit-packed words.
 

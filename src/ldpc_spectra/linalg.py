@@ -4,9 +4,8 @@ Matrices are numpy arrays of canonical element integers.  Only fields with
 dense operation tables (q <= 256) are supported; that covers every field a
 code can realistically be enumerated over.
 
-rref and kernel_basis take one (rows, cols) matrix or a (batch, rows, cols)
-stack; a stack is reduced by one elimination loop for all of its matrices,
-and a single matrix is a stack of one.
+rref and kernel_basis take a (batch, rows, cols) stack of matrices and
+reduce all of them by one elimination loop; one matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -16,27 +15,8 @@ import numpy as np
 from .gf import FieldSpec, add_arrays, mul_arrays, require_tables
 
 
-def rref(field: FieldSpec, matrix: np.ndarray):
-    """Reduced row echelon form over GF(q).
-
-    Returns
-    -------
-    (reduced, pivot_cols)
-        reduced is a new array in reduced echelon form.  For one matrix
-        pivot_cols lists the pivot column of each nonzero row in order; for a
-        stack it is a (batch, rows) int array holding the same lists, padded
-        with -1 after each matrix's rank.
-    """
-    require_tables(field, "dense linear algebra needs")
-    m = np.array(matrix, dtype=np.uint8, copy=True)
-    if m.ndim == 3:
-        return _rref_stack(field, m)
-    reduced, pivots = _rref_stack(field, m[None])
-    return reduced[0], [int(c) for c in pivots[0] if c >= 0]
-
-
-def _rref_stack(field: FieldSpec, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rref of a (batch, rows, cols) stack, in place.
+def rref(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms over GF(q) of a (batch, rows, cols) stack.
 
     One step per pivot row r, for all matrices at once.  Rows r and below
     are zero up to the last pivot column, so each matrix's next pivot
@@ -45,7 +25,16 @@ def _rref_stack(field: FieldSpec, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     to r, scaled to a unit pivot and subtracted from every other row.  A
     matrix with no such column has reached its rank: its rows from r on are
     zero, so the step, run on its last column, leaves it as it is.
+
+    Returns
+    -------
+    (reduced, pivots)
+        reduced is a new stack in reduced echelon form; pivots is a
+        (batch, rows) int array listing the pivot column of each nonzero
+        row in order, padded with -1 after each matrix's rank.
     """
+    require_tables(field, "dense linear algebra needs")
+    m = np.array(stack, dtype=np.uint8, copy=True)
     batch, rows, cols = m.shape
     pivots = np.full((batch, rows), -1, np.intp)
     every = np.arange(batch)
@@ -72,25 +61,16 @@ def _rref_stack(field: FieldSpec, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return m, pivots
 
 
-def kernel_basis(field: FieldSpec, matrix: np.ndarray):
-    """A basis of the right kernel {x : matrix @ x = 0 over GF(q)}.
+def kernel_basis(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bases of the right kernels {x : matrix @ x = 0 over GF(q)} of a
+    (batch, rows, cols) stack.
 
-    For one matrix, returns a (dim, cols) uint8 array; dim = cols - rank.
-    Each free column yields one basis vector with a 1 there and
-    back-substituted pivot entries.  For a (batch, rows, cols) stack,
-    returns (bases, dims): bases is (batch, max dim, cols) and the first
-    dims[b] rows of bases[b] are the basis of matrix b, the rest zero.
+    Returns (bases, dims): bases is a (batch, max dim, cols) uint8 array and
+    the first dims[b] = cols - rank rows of bases[b] are the basis of
+    matrix b, the rest zero.  Each free column yields one basis vector with
+    a 1 there and back-substituted pivot entries.
     """
-    stack = np.asarray(matrix)
-    single = stack.ndim == 2
-    reduced, pivots = rref(field, stack[None] if single else stack)
-    bases, dims = _kernel_stack(field, reduced, pivots)
-    if single:
-        return bases[0, :dims[0]]
-    return bases, dims
-
-
-def _kernel_stack(field: FieldSpec, reduced: np.ndarray, pivots: np.ndarray):
+    reduced, pivots = rref(field, stack)
     batch, rows, cols = reduced.shape
     every = np.arange(batch)[:, None, None]
     # column cols stands in for the missing pivot of a zero row
@@ -108,4 +88,3 @@ def _kernel_stack(field: FieldSpec, reduced: np.ndarray, pivots: np.ndarray):
     bases = bases[:, :, :cols]
     bases[rows_of[..., 0] >= dims[:, None]] = 0
     return bases, dims
-

@@ -16,13 +16,16 @@ Monte Carlo trials run in blocks.  A block's seeds are hashed together
 on numpy arrays into the state words numpy's SeedSequence gives
 (_seeding; tests/test_sim.py checks the words against SeedSequence and
 the generators against PCG64(SeedSequence(...))), numpy seeds each
-trial's PCG64 from its words, and numpy's
-shuffle and integers draw.  A single code keys its PCG64 with numpy's
-SeedSequence itself and is drawn as a block of one.  The draws of a block
-are stacked, and its matrices are assembled, reduced (linalg) and counted
-(kernels) by batched numpy calls.  Aggregates are exact integer sums
+trial's PCG64 from its words, and numpy's shuffle and integers draw.
+
+Codes travel as stacks: the draws of a block are stacked, and its
+matrices are assembled, reduced (linalg) and counted (kernels) by batched
+numpy calls on (batch, ...) arrays.  Aggregates are exact integer sums
 merged block by block, so reports are byte-identical for any worker count
-and block size.
+and block size.  The exhaustive average counts its distinct matrices in
+stacks of the same size.  A single code (sample_code, enumerate_weights)
+keys its PCG64 with numpy's SeedSequence itself and is a stack of one,
+indexed [0].
 """
 
 from __future__ import annotations
@@ -85,26 +88,26 @@ class WeightEnumeration:
 
 
 def assemble_parity(params: EnsembleParams, field: FieldSpec, permutation, multipliers) -> np.ndarray:
-    """Build the parity-check matrix from a socket permutation and multipliers.
+    """Build parity-check matrices from socket permutations and multipliers.
 
-    permutation and multipliers are (c*n,) arrays, or (batch, c*n) stacks
-    that give a (batch, m, n) stack of matrices.  Round j adds the edge of
-    socket j of every variable at once: no two edges of a round meet in one
-    (check, variable) cell, so c rounds of field additions place every edge.
+    permutation and multipliers are (batch, c*n) stacks, one row per code;
+    the result is the (batch, m, n) stack of their matrices.  Round j adds
+    the edge of socket j of every variable at once: no two edges of a round
+    meet in one (check, variable) cell, so c rounds of field additions place
+    every edge.
     """
     c, n, m = params.c, params.n, params.num_checks
-    perm = np.asarray(permutation, np.intp)
-    lead = perm.shape[:-1]
+    batch = len(permutation)
     # (round j, trial, variable v): socket v*c + j
-    perm = perm.reshape(-1, n, c).transpose(2, 0, 1)
-    trial = np.arange(perm.shape[1])[:, None]
+    perm = np.asarray(permutation, np.intp).reshape(batch, n, c).transpose(2, 0, 1)
+    trial = np.arange(batch)[:, None]
     symbol = np.min_scalar_type(params.q - 1)
-    edge_mult = np.asarray(multipliers, symbol).reshape(-1, c * n)[trial, perm]
+    edge_mult = np.asarray(multipliers, symbol)[trial, perm]
     cell = (trial * m + perm // params.d) * n + np.arange(n)
-    h = np.zeros(cell[0].size * m, symbol)
+    h = np.zeros(batch * m * n, symbol)
     for at, add in zip(cell, edge_mult):
         h[at] = add_arrays(field, h[at], add)
-    return h.reshape(lead + (m, n))
+    return h.reshape(batch, m, n)
 
 
 def _draw(params: EnsembleParams, seed_seqs: list) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +143,7 @@ def sample_code(params: EnsembleParams, seed, field: FieldSpec | None = None) ->
         seed=seed,
         permutation=perms[0],
         multipliers=mults[0].astype(np.min_scalar_type(params.q - 1)),
-        parity_matrix=assemble_parity(params, field, perms[0], mults[0]),
+        parity_matrix=assemble_parity(params, field, perms, mults)[0],
     )
 
 
@@ -197,12 +200,11 @@ def enumerate_weights(
     return WeightEnumeration(counts=counts_t, dimension=int(dims[0]), dmin=dmin)
 
 
-def has_zero_column(parity_matrix: np.ndarray):
-    """True when some variable is attached to no effective check constraint;
-    for a (batch, m, n) stack, a boolean array with one flag per matrix.
+def has_zero_column(parity: np.ndarray) -> np.ndarray:
+    """One flag per matrix of a (batch, m, n) stack: True when some variable
+    is attached to no effective check constraint.
     """
-    zero = np.all(parity_matrix == 0, axis=-2).any(axis=-1)
-    return zero if zero.ndim else bool(zero)
+    return (parity == 0).all(axis=1).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +435,9 @@ def exhaustive_ensemble(
     matrix once and weighting them by how many configurations share it; the
     returned table is an exact rational average that must equal the
     closed-form ensemble expectation.  Configurations are assembled a block
-    at a time and their matrices tallied by their bytes.
+    at a time and their matrices tallied by their bytes; the distinct
+    matrices are counted in stacks of the same size, and their weighted
+    counts summed as Python integers, which no multiplicity overflows.
 
     Raises
     ------
@@ -453,16 +457,19 @@ def exhaustive_ensemble(
         for perm in permutations(range(cn))
         for mult in product(range(1, params.q), repeat=cn)
     )
+    block = _block_size(params)
     shared = Counter()
-    while batch := list(islice(configs, _block_size(params))):
+    while batch := list(islice(configs, block)):
         perms, mults = (np.array(part, np.int64) for part in zip(*batch))
         parity = assemble_parity(params, field, perms, mults)
         shared.update(map(bytes, parity.reshape(len(parity), -1)))
     totals = [0] * (params.n + 1)
-    for matrix, multiplicity in shared.items():
-        h = np.frombuffer(matrix, np.uint8).reshape(params.num_checks, params.n)
-        enum = enumerate_weights(field, h, enum_cap)
-        for l, v in enumerate(enum.counts):
-            totals[l] += multiplicity * v
+    distinct = iter(shared.items())
+    while batch := list(islice(distinct, block)):
+        matrices, multiplicities = zip(*batch)
+        parity = np.frombuffer(b"".join(matrices), np.uint8)
+        counts, _ = _count_stack(field, parity.reshape(len(batch), params.num_checks, -1), enum_cap)
+        for multiplicity, row in zip(multiplicities, counts.tolist()):
+            totals = [t + multiplicity * v for t, v in zip(totals, row)]
     values = tuple(Fraction(t, n_configs) for t in totals)
     return SpectrumTable(params=params, values=values)

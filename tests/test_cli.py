@@ -285,7 +285,7 @@ def test_figure_data_anchor_values():
         for col in (1, 2, 3):
             assert float(rows[0][col]) == 0.0
             if q == 2 and d % 2:
-                assert rows[-1][col] == "-inf"
+                assert rows[-1][col] == -math.inf
     # binary even degree keeps the peak value on the grid at x = 0.5
     _, rows = figure_data(3)
     assert abs(float(rows[500][3]) - 0.5 * math.log(2)) < 1e-12
@@ -491,6 +491,21 @@ def test_capacity_errors_exit_3(capsys):
         capsys, "exhaustive", "--q", "2", "--c", "3", "--d", "6", "--n", "12")
     assert code == 3
     assert json.loads(err)["code"] == 3
+
+
+def test_oversized_grids_exit_3_without_output(tmp_path, capsys):
+    # numpy refuses a grid of 10**15 floats (7.11 PiB) before allocating it
+    steps = "1000000000000000"
+    for argv in (("growth", "--q", "2", "--c", "3", "--d", "6", "--steps", steps),
+                 ("delta", "--q", "2", "--d", "6", "--steps", steps),
+                 ("bounds", "--q", "2", "--c", "3", "--d", "6", "--grid-steps", steps)):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        body = json.loads(err)
+        assert body["code"] == 3 and f"({steps},)" in body["message"], argv
+        target = tmp_path / "out.csv"
+        assert invoke(capsys, *argv, "--output", str(target)) == (3, "", err), argv
+        assert list(tmp_path.iterdir()) == [], argv
 
 
 # (length, sha256) of stdout, recorded from the command line before its

@@ -56,7 +56,7 @@ def test_count_weights_matches_brute_force():
                 continue
             basis = rng.integers(0, q, size=(dim, n)).astype(np.uint8)
             want = brute_counts(basis, q, field)
-            got = count_weights(basis, q, field.add_table, field.mul_table)
+            got = count_weights(basis[None], q, field.add_table, field.mul_table)[0]
             assert tuple(int(v) for v in got) == want, (q, dim, n)
 
 
@@ -66,7 +66,7 @@ def test_count_weights_matches_digit_decoder():
         field = build_field(q)
         basis = rng.integers(0, q, size=(dim, n)).astype(np.uint8)
         want = digit_counts(basis, q, field.add_table, field.mul_table)
-        got = count_weights(basis, q, field.add_table, field.mul_table)
+        got = count_weights(basis[None], q, field.add_table, field.mul_table)[0]
         assert tuple(int(v) for v in got) == want, (q, dim, n)
         assert sum(want) == q**dim
 
@@ -91,8 +91,10 @@ def test_packed_counts_match_byte_kernel_and_brute_force():
     for q, basis in packed_cases(rng):
         field = build_field(q)
         dim = basis.shape[0]
-        got = tuple(int(v) for v in count_weights(basis, q, field.add_table, field.mul_table))
-        want = tuple(int(v) for v in _count_bytes(basis, field.add_table, field.mul_table))
+        got = tuple(int(v) for v in count_weights(
+            basis[None], q, field.add_table, field.mul_table)[0])
+        want = tuple(int(v) for v in _count_bytes(
+            basis[None], field.add_table, field.mul_table)[0])
         assert got == want, (q, basis.shape)
         assert sum(got) == q**dim
         if q**dim <= 4096:

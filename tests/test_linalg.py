@@ -29,15 +29,16 @@ def test_rref_structure_and_idempotence():
         field = build_field(q)
         for rows, cols in ((1, 1), (2, 4), (3, 5), (4, 4), (5, 3)):
             m = rng.integers(0, q, size=(rows, cols)).astype(np.uint8)
-            red, pivots = rref(field, m)
+            reduced, pivots = rref(field, m[None])
+            red = reduced[0]
             # pivot columns carry unit vectors
-            for r, c in enumerate(pivots):
+            for r, c in enumerate(pivots[0][pivots[0] >= 0]):
                 col = red[:, c]
                 assert col[r] == 1
                 assert all(col[i] == 0 for i in range(rows) if i != r)
-            again, pivots2 = rref(field, red)
-            assert (again == red).all()
-            assert pivots2 == pivots
+            again, pivots2 = rref(field, reduced)
+            assert (again == reduced).all()
+            assert (pivots2 == pivots).all()
 
 
 def test_kernel_vectors_annihilated():
@@ -45,7 +46,8 @@ def test_kernel_vectors_annihilated():
     for q in (2, 3, 4, 5, 8, 9):
         field = build_field(q)
         m = rng.integers(0, q, size=(4, 9)).astype(np.uint8)
-        basis = kernel_basis(field, m)
+        bases, dims = kernel_basis(field, m[None])
+        basis = bases[0, :dims[0]]
         assert basis.shape[0] >= m.shape[1] - m.shape[0]
         for row in basis:
             assert not matvec(field, m, row).any()
@@ -57,7 +59,8 @@ def test_kernel_dimension_against_full_enumeration():
     for q, n in ((2, 6), (3, 4), (4, 4), (5, 3)):
         field = build_field(q)
         m = rng.integers(0, q, size=(2, n)).astype(np.uint8)
-        basis = kernel_basis(field, m)
+        bases, dims = kernel_basis(field, m[None])
+        basis = bases[0, :dims[0]]
         members = 0
         for vec in itertools.product(range(q), repeat=n):
             arr = np.array(vec, dtype=np.uint8)
@@ -69,16 +72,17 @@ def test_kernel_dimension_against_full_enumeration():
 def test_kernel_of_identity_and_zero():
     field = build_field(3)
     eye = np.eye(3, dtype=np.uint8)
-    assert kernel_basis(field, eye).shape == (0, 3)
+    bases, dims = kernel_basis(field, eye[None])
+    assert bases.shape == (1, 0, 3) and dims.tolist() == [0]
     zero = np.zeros((2, 3), dtype=np.uint8)
-    basis = kernel_basis(field, zero)
-    assert basis.shape == (3, 3)
+    bases, dims = kernel_basis(field, zero[None])
+    assert bases.shape == (1, 3, 3) and dims.tolist() == [3]
 
 
 def test_untabled_field_rejected():
     field = build_field(257)
     with pytest.raises(ParameterError):
-        rref(field, np.zeros((1, 1), dtype=np.uint8))
+        rref(field, np.zeros((1, 1, 1), dtype=np.uint8))
 
 
 def rref_oracle(field, matrix):
@@ -145,8 +149,9 @@ def test_batched_rref_matches_single_matrix_oracle():
                     assert (reduced[b] == want).all(), (q, b)
                     assert pivots[b, :rank].tolist() == want_pivots
                     assert (pivots[b, rank:] == -1).all()
-                    single, single_pivots = rref(field, matrix)
-                    assert (single == want).all() and single_pivots == want_pivots
+                    single, single_pivots = rref(field, matrix[None])
+                    assert (single[0] == want).all()
+                    assert single_pivots[0].tolist() == want_pivots + [-1] * (rows - rank)
                     # kernel of the right dimension, every row annihilated,
                     # a unit entry at each free column, zero padding rows
                     assert dims[b] == cols - rank
@@ -156,7 +161,8 @@ def test_batched_rref_matches_single_matrix_oracle():
                     free = [c for c in range(cols) if c not in want_pivots]
                     assert (basis[:, free] == np.eye(len(free), dtype=np.uint8)).all()
                     assert not bases[b, dims[b]:].any()
-                    assert (kernel_basis(field, matrix) == basis).all()
+                    one, one_dims = kernel_basis(field, matrix[None])
+                    assert one_dims.tolist() == [dims[b]] and (one[0] == basis).all()
 
 
 def test_batched_rref_of_a_stack_of_one():

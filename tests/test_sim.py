@@ -36,7 +36,7 @@ def dmin_le_2(field, parity_matrix):
     exists iff two columns are proportional over the field.
     """
     h = np.asarray(parity_matrix, np.uint8)
-    if has_zero_column(h):
+    if has_zero_column(h[None])[0]:
         return True
     seen = set()
     for v in range(h.shape[1]):
@@ -360,18 +360,31 @@ def test_exhaustive_counts_each_distinct_matrix_once(monkeypatch):
                 for l, v in enumerate(enumerate_weights(field, h).counts):
                     totals[l] += v
                 configs += 1
-        calls = []
+        counted = []
+        count_stack = sim._count_stack
 
-        def counted(field_, h, cap):
-            calls.append(h.tobytes())
-            return enumerate_weights(field_, h, cap)
+        def recording(field_, parity, cap):
+            counted.extend(h.tobytes() for h in parity)
+            return count_stack(field_, parity, cap)
 
-        monkeypatch.setattr(sim, "enumerate_weights", counted)
+        monkeypatch.setattr(sim, "_count_stack", recording)
         table = exhaustive_ensemble(params)
         monkeypatch.undo()
         assert table.values == tuple(Fraction(t, configs) for t in totals), (q, c, d, n)
-        assert sorted(calls) == sorted(distinct)
+        assert sorted(counted) == sorted(distinct)
         assert len(distinct) < configs
+
+
+def test_exhaustive_totals_stay_exact_past_int64(monkeypatch):
+    # every configuration's code counted as 2**62 words of each weight: a
+    # multiplicity times that passes int64, the average is still 2**62
+    params = EnsembleParams(q=2, c=2, d=4, n=2)
+
+    def huge(field_, parity, cap):
+        return np.full((len(parity), params.n + 1), 2**62, np.int64), None
+
+    monkeypatch.setattr(sim, "_count_stack", huge)
+    assert exhaustive_ensemble(params).values == (2**62,) * (params.n + 1)
 
 
 def test_exhaustive_matches_formula_beyond_acceptance_set():
@@ -470,11 +483,11 @@ def oracle_trials(params, trials, seed):
     out = []
     for t in range(trials):
         h = np.array(rebuild_parity(params, field, *oracle_draw(params, (seed, t))), np.uint8)
-        basis = kernel_basis(field, h)
+        bases, dims = kernel_basis(field, h[None])
         counts = tuple(int(v) for v in count_weights(
-            basis, params.q, field.add_table, field.mul_table))
+            bases, params.q, field.add_table, field.mul_table)[0])
         dmin = next((w for w in range(1, params.n + 1) if counts[w]), math.inf)
-        out.append((counts, dmin, basis.shape[0], has_zero_column(h)))
+        out.append((counts, dmin, int(dims[0]), bool(has_zero_column(h[None])[0])))
     return out
 
 
