@@ -42,7 +42,7 @@ def growth_rate_values(q: int, c: int, d: int, xs) -> np.ndarray:
     if d == 2:
         check_order(q)
         growth._check_c(c)
-        if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+        if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
             raise DomainError("weights must lie in [0, 1]")
         return (1.0 - c / 2.0) * growth._entropy_vec(xs, q)
     om, _ = growth.omega_curve(q, c, d, xs)
@@ -78,7 +78,7 @@ def smallx_inequality_margin(q: int, c: int, d: int, x_grid) -> MarginReport:
     if xs.size == 0:
         raise ParameterError("empty grid")
     upper = 1.0 / q**2
-    if xs.min() <= 0.0 or xs.max() >= upper:
+    if not (xs.min() > 0.0 and xs.max() < upper):
         raise DomainError(f"grid must lie strictly inside (0, {upper})")
     om = growth_rate_values(q, c, d, xs)
     k = kappa(q, c, d)
@@ -177,7 +177,7 @@ def taylor_check(d: int, x_grid) -> float:
     xs = np.ascontiguousarray(x_grid, np.float64)
     if xs.size == 0:
         raise ParameterError("empty grid")
-    if xs.min() < 0.0 or xs.max() > 1.0:
+    if not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise DomainError("grid must lie in [0, 1]")
     # grid floats are exact binary rationals, so the slack is computed
     # exactly; float rounding would otherwise report spurious tiny

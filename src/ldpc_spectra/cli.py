@@ -146,6 +146,11 @@ def _write_output(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _fields(obj, *skip) -> dict:
+    """The fields of a result dataclass but those in skip, a shallow dict."""
+    return {k: v for k, v in vars(obj).items() if k not in skip}
+
+
 def _records(header, rows) -> list[dict]:
     return [dict(zip(header, row)) for row in rows]
 
@@ -209,22 +214,14 @@ def _cmd_delta(args):
 def _cmd_landmarks(args):
     marks = growth.landmarks(args.q, args.c, args.d)
     residuals = {}
-    if marks.x0 is not None:
-        residuals["omega_at_x0"] = abs(growth.omega(args.q, args.c, args.d, marks.x0).omega)
+    # x0 and x3 exist together (c >= 3), and share one gap solve
     if marks.x3 is not None:
-        residuals["domega_at_x3"] = abs(growth.domega(args.q, args.c, args.d, marks.x3))
+        om, dom = growth.omega_curve(args.q, args.c, args.d, [marks.x0, marks.x3])
+        residuals["omega_at_x0"] = abs(float(om[0]))
+        residuals["domega_at_x3"] = abs(float(dom[1]))
     if marks.zhat2 is not None:
         residuals["xi_at_zhat2"] = abs(growth.xi(args.q, args.c, args.d, marks.zhat2))
-    data = {
-        "x1": marks.x1,
-        "x0": marks.x0,
-        "x2": marks.x2,
-        "x3": marks.x3,
-        "zhat2": marks.zhat2,
-        "zhat2_neg": marks.zhat2_neg,
-        "residuals": residuals,
-    }
-    return None, None, data
+    return None, None, _fields(marks, "q", "c", "d") | {"residuals": residuals}
 
 
 def _cmd_simulate(args):
@@ -246,30 +243,12 @@ def _cmd_simulate(args):
 def _stats_data(stats: sim.SpectrumStats | None):
     if stats is None:
         return None
-    return {
-        "trials": stats.trials,
-        "counts_sum": [str(v) for v in stats.counts_sum],
-        "mean": list(stats.mean),
-        "stderr": list(stats.stderr),
-        "dmin_hits": stats.dmin_hits,
-        "p_dmin_le": stats.p_dmin_le,
-        "p_dmin_half_width": stats.p_dmin_half_width,
-    }
+    return _fields(stats) | {"counts_sum": [str(v) for v in stats.counts_sum]}
 
 
 def _report_data(report: sim.SimReport) -> dict:
-    return {
-        "params": {
-            "q": report.params.q,
-            "c": report.params.c,
-            "d": report.params.d,
-            "n": report.params.n,
-        },
-        "trials": report.trials,
-        "seed": report.seed,
-        "l0": report.l0,
-        "alpha": report.alpha,
-        "filter_on": report.filter_on,
+    return _fields(report, "workers") | {
+        "params": _fields(report.params),
         "overall": _stats_data(report.overall),
         "filtered": _stats_data(report.filtered),
         "filter_pass_rate": report.filter_pass_rate,
@@ -294,14 +273,7 @@ def _cmd_bounds(args):
             rep = bounds.zero_column_filtered_bound(_params(args), args.alpha)
         else:
             rep = bounds.min_distance_bound(_params(args), args.l0, args.alpha)
-        min_distance = {
-            "l0": rep.l0,
-            "alpha": rep.alpha,
-            "Delta": rep.Delta,
-            "exponent_term": rep.exponent_term,
-            "exp_term": rep.exp_term,
-            "filtered": rep.filtered,
-        }
+        min_distance = _fields(rep, "params")
     data = {
         "kappa": bounds.kappa(args.q, args.c, args.d),
         "smallx": {

@@ -19,7 +19,8 @@ s = 1 - zhat, which solves
     t = 1 - s,  S = sum_{k<d-1} t**k,
 
 with no digit of x lost, so omega is resolved down to x = 1e-300 and only
-x = 0 itself takes its limit values.  Bisection inverts x -> gap for the
+x = 0 itself takes its limit values.  gap_map is the left side as a map of
+s, and solve_gap_batch inverts it, x -> gap, by a batched bisection for the
 curves; the landmarks are single roots in the gap, whose weight
 x(s) = (q-1)(1 - zeta(1 - s))/q, omega and slope are closed forms in s
 (Burshtein & Miller 2004; Di, Richardson & Urbanke 2006).  Extended reals
@@ -37,16 +38,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, ParameterError
 from .gf import check_order
-from .kernels import BISECT_MAXIT, BISECT_TOL
 
 # Width of the band around the right endpoint x1 inside which evaluation
 # returns the analytic endpoint/limit values instead of solving.
 ENDPOINT_BAND = 1e-8
 
 INF = float("inf")
+
+# Relative bracket width of the gap solve, and the iteration cap of the
+# scalar bisections run to the floating point floor.
+BISECT_TOL = 1e-12
+BISECT_MAXIT = 200
 
 
 def _check_d(d: int, minimum: int = 3) -> None:
@@ -62,6 +66,77 @@ def _check_c(c: int) -> None:
 def _check_x(x: float) -> None:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"normalized weight must lie in [0, 1], got {x}")
+
+
+# ---------------------------------------------------------------------------
+# The tilt map in the gap s = 1 - t, and its batched inverse
+# ---------------------------------------------------------------------------
+
+
+def tilt_powers(d, s, near):
+    """(t**(d-1), 1 - t**(d-1), t**d) at the tilt t = 1 - s, floats or arrays.
+
+    near: through log1p and expm1 of s itself, for gaps s <= 1, so that no
+    digit of a small gap is lost.  Otherwise plain powers of t, for any gap
+    in [0, q/(q-1)], exact to rounding where (d-1) s is not small; |t| is
+    raised, since numpy's power is slow on negative bases.
+    """
+    t = 1.0 - s
+    if near:
+        lt = (d - 1) * np.log1p(-s)
+        p = np.exp(lt)
+        return p, -np.expm1(lt), p * t
+    p = np.abs(t) ** (d - 1)
+    if d % 2 == 0:
+        p = np.copysign(p, t)
+    return p, 1.0 - p, p * t
+
+
+def gap_map(q, d, s, near):
+    """1 - zeta(1 - s) = s (1 - t**(d-1)) / (1 + (q-1) t**d), t = 1 - s."""
+    _, m, pd = tilt_powers(d, s, near)
+    return s * m / (1.0 + (q - 1.0) * pd)
+
+
+def _sides(near: np.ndarray, form) -> np.ndarray:
+    """form(mask, side) on the elements where near holds (side True) and
+    on the rest (side False), in one array; an empty side is skipped.
+    """
+    out = np.empty(near.shape)
+    for mask, side in ((near, True), (~near, False)):
+        if mask.any():
+            out[mask] = form(mask, side)
+    return out
+
+
+def solve_gap_batch(q, d, w):
+    """Solve 1 - zeta(1 - s) = w[i] elementwise for the gap s by bisection.
+
+    w = q x / (q-1) > 0 carries every digit of the weight x.  The gap map
+    over s**2 lies in [1/q, d-1] for s <= 1, so w < 1 has its root in
+    [sqrt(w/(d-1)), min(1, sqrt(q w))]; w >= 1 has it in [1, q/(q-1)].
+    Every element is halved the same fixed number of times, enough for a
+    relative width BISECT_TOL from the widest bracket, so each root is
+    independent of the rest of the batch.
+    """
+    w = np.ascontiguousarray(w, np.float64)
+    steps = math.ceil(math.log2(math.sqrt(q * (d - 1.0)) / BISECT_TOL))
+    # log1p(-1) = -inf at s = 1 gives the exact powers of t = 0
+    with np.errstate(divide="ignore"):
+        return _sides(w < 1.0, lambda k, near: _halve(q, d, near, w[k], steps))
+
+
+def _halve(q, d, near, w, steps):
+    """Bisect gap_map(s) = w from the bracket of solve_gap_batch by steps
+    halvings of its width.
+    """
+    lo = np.sqrt(w / (d - 1.0)) if near else np.ones_like(w)
+    width = (np.minimum(np.sqrt(q * w), 1.0) if near else q / (q - 1.0)) - lo
+    for _ in range(steps):
+        width = 0.5 * width
+        mid = lo + width
+        lo = np.where(gap_map(q, d, mid, near) < w, mid, lo)
+    return lo + 0.5 * width
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +202,7 @@ def zeta(q: int, d: int, zhat: float) -> float:
     if q == 2 and d % 2 == 1 and zhat == -1.0:
         return 2.0 / d - 1.0
     s = 1.0 - zhat
-    return float(1.0 - kernels.gap_map(q, d, s, s < 1.0 / d))
+    return float(1.0 - gap_map(q, d, s, s < 1.0 / d))
 
 
 def z_left_endpoint(q: int, d: int) -> float:
@@ -166,7 +241,7 @@ def solve_zhat1(q: int, d: int, z: float) -> float:
         return 0.0
     if z <= z1:
         return -1.0 / (q - 1.0)
-    return 1.0 - float(kernels.solve_gap_batch(q, d, np.array([1.0 - z]))[0])
+    return 1.0 - float(solve_gap_batch(q, d, np.array([1.0 - z]))[0])
 
 
 def delta_two_arg(q: int, d: int, x: float, xhat: float) -> float:
@@ -240,25 +315,16 @@ def _gain(q: int, d: int, x, s, near: bool, coef: list[float]):
     if near:
         excess = np.log1p(_horner(coef, d * s) * np.exp(-d * np.log1p(-xh)))
     else:
-        td = kernels.tilt_powers(d, s, near)[2]
+        td = tilt_powers(d, s, near)[2]
         excess = np.log((1.0 + (q - 1.0) * td) / q) - d * np.log1p(-xh)
     return d * (x * np.log(x / xh) + (1.0 - x) * np.log1p(-x) + x * np.log1p(-xh)) + excess
 
 
 def _slope(q: int, c: int, d: int, s, near: bool):
     """omega'(x) = ln[(1 + (q-1) t)/s] + (c-1) ln[(1 - t**(d-1))/(1 + (q-1) t**(d-1))]."""
-    p, m, _ = kernels.tilt_powers(d, s, near)
+    p, m, _ = tilt_powers(d, s, near)
     return (math.log(q) + np.log1p(-(q - 1.0) / q * s) - np.log(s)
             + (c - 1) * (np.log(m) - np.log1p((q - 1.0) * p)))
-
-
-def _sides(d: int, s: np.ndarray, form) -> np.ndarray:
-    """form(mask, near) on the gaps below 1/d and on the rest, in one array."""
-    out = np.empty_like(s)
-    near = s < 1.0 / d
-    for mask, side in ((near, True), (~near, False)):
-        out[mask] = form(mask, side)
-    return out
 
 
 def _region_masks(q: int, d: int, x: np.ndarray):
@@ -270,7 +336,8 @@ def _region_masks(q: int, d: int, x: np.ndarray):
 
 
 def _delta_grid(q: int, d: int, x: np.ndarray):
-    """Vector delta evaluation: (delta - ln q, zhat1, xhat1, s) arrays.
+    """Vector delta evaluation: (delta - ln q, zhat1, xhat1, s) arrays and
+    the (near1, beyond, interior) region masks of x.
 
     s is the solved gap 1 - zhat1 at interior weights and 0 elsewhere.
     """
@@ -292,13 +359,13 @@ def _delta_grid(q: int, d: int, x: np.ndarray):
 
     if interior.any():
         xi = x[interior]
-        si = kernels.solve_gap_batch(q, d, q * xi / qm1)
+        si = solve_gap_batch(q, d, q * xi / qm1)
         coef = _excess_coefficients(q, d)
-        gain[interior] = _sides(d, si, lambda k, near: _gain(q, d, xi[k], si[k], near, coef))
+        gain[interior] = _sides(si < 1.0 / d, lambda k, near: _gain(q, d, xi[k], si[k], near, coef))
         s[interior] = si
         zh[interior] = 1.0 - si
         xh[interior] = qm1 / q * si
-    return gain, zh, xh, s
+    return gain, zh, xh, s, (near1, beyond, interior)
 
 
 def _domega_limit_zero(q: int, c: int, d: int) -> float:
@@ -321,16 +388,15 @@ def _domega_limit_x1(q: int, c: int, d: int) -> float:
 
 def _omega_grid(q: int, c: int, d: int, x: np.ndarray):
     """Vector omega evaluation: returns (omega, domega) arrays."""
-    gain, _, _, s = _delta_grid(q, d, x)
+    gain, _, _, s, (near1, beyond, interior) = _delta_grid(q, d, x)
     om = _entropy_vec(x, q) + (c / d) * gain
     dom = np.empty_like(x)
-    near1, beyond, interior = _region_masks(q, d, x)
     dom[x == 0.0] = _domega_limit_zero(q, c, d)
     dom[near1] = _domega_limit_x1(q, c, d)
     dom[beyond] = math.nan
     if interior.any():
         si = s[interior]
-        dom[interior] = _sides(d, si, lambda k, near: _slope(q, c, d, si[k], near))
+        dom[interior] = _sides(si < 1.0 / d, lambda k, near: _slope(q, c, d, si[k], near))
     return om, dom
 
 
@@ -373,7 +439,7 @@ def delta(q: int, d: int, x: float) -> DeltaEval:
     check_order(q)
     _check_d(d)
     _check_x(x)
-    gain, zh, xh, _ = _delta_grid(q, d, np.array([x], np.float64))
+    gain, zh, xh, *_ = _delta_grid(q, d, np.array([x], np.float64))
     return DeltaEval(x=x, z=1.0 - q * x / (q - 1.0), zhat1=float(zh[0]), xhat1=float(xh[0]),
                      value=float(gain[0] + math.log(q)))
 
@@ -425,7 +491,7 @@ def omega_curve(q: int, c: int, d: int, xs):
     _check_c(c)
     _check_d(d)
     xs = np.ascontiguousarray(xs, np.float64)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise DomainError("weights must lie in [0, 1]")
     return _omega_grid(q, c, d, xs)
 
@@ -435,9 +501,9 @@ def delta_curve(q: int, d: int, xs):
     check_order(q)
     _check_d(d)
     xs = np.ascontiguousarray(xs, np.float64)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise DomainError("weights must lie in [0, 1]")
-    gain, zh, xh, _ = _delta_grid(q, d, xs)
+    gain, zh, xh, *_ = _delta_grid(q, d, xs)
     return gain + math.log(q), zh, xh
 
 
@@ -552,7 +618,7 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
 
     coef = xi_coefficients(q, c, d)
     poly = lambda t: _horner(coef, t)
-    weight = lambda s: float((q - 1.0) / q * kernels.gap_map(q, d, s, s < 1.0 / d))
+    weight = lambda s: float((q - 1.0) / q * gap_map(q, d, s, s < 1.0 / d))
     wants_x2 = c >= 3 or (c == 2 and q >= 3)
     if wants_x2:
         if c >= 3:

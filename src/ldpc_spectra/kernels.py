@@ -1,18 +1,11 @@
-"""Numpy kernels: Hamming weight counts over all combinations of each basis
-of a (batch, dim, n) stack (sim), bit-packed over GF(2**k) and
-byte-per-symbol over odd characteristic, and the tilt map in the gap
-s = 1 - t with its batched bisection inverse (growth).
+"""Numpy weight counter for sim: Hamming weight counts over all linear
+combinations of each basis of a (batch, dim, n) stack, bit-packed over
+GF(2**k) and byte-per-symbol over odd characteristic.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-# ---------------------------------------------------------------------------
-# Kernel 1: weight counts of all linear combinations of a basis
-# ---------------------------------------------------------------------------
 
 # Words of the (high chunk) x (low span) sum table built per step; small
 # chunks keep the temporary arrays, and so the peak memory, small.
@@ -167,73 +160,3 @@ def _count_packed(basis, k, mul_table):
             counts[first:first + trials] += _binned(weights, n)
     return counts
 
-
-# ---------------------------------------------------------------------------
-# Kernel 2: the tilt map as a function of the gap s = 1 - t, and its
-# batched inverse
-# ---------------------------------------------------------------------------
-
-# Relative bracket width of the gap solve, and the iteration cap of the
-# scalar bisections run to the floating point floor.
-BISECT_TOL = 1e-12
-BISECT_MAXIT = 200
-
-
-def tilt_powers(d, s, near):
-    """(t**(d-1), 1 - t**(d-1), t**d) at the tilt t = 1 - s, floats or arrays.
-
-    near: through log1p and expm1 of s itself, for gaps s <= 1, so that no
-    digit of a small gap is lost.  Otherwise plain powers of t, for any gap
-    in [0, q/(q-1)], exact to rounding where (d-1) s is not small; |t| is
-    raised, since numpy's power is slow on negative bases.
-    """
-    t = 1.0 - s
-    if near:
-        lt = (d - 1) * np.log1p(-s)
-        p = np.exp(lt)
-        return p, -np.expm1(lt), p * t
-    p = np.abs(t) ** (d - 1)
-    if d % 2 == 0:
-        p = np.copysign(p, t)
-    return p, 1.0 - p, p * t
-
-
-def gap_map(q, d, s, near):
-    """1 - zeta(1 - s) = s (1 - t**(d-1)) / (1 + (q-1) t**d), t = 1 - s."""
-    _, m, pd = tilt_powers(d, s, near)
-    return s * m / (1.0 + (q - 1.0) * pd)
-
-
-def solve_gap_batch(q, d, w):
-    """Solve 1 - zeta(1 - s) = w[i] elementwise for the gap s by bisection.
-
-    w = q x / (q-1) > 0 carries every digit of the weight x.  The gap map
-    over s**2 lies in [1/q, d-1] for s <= 1, so w < 1 has its root in
-    [sqrt(w/(d-1)), min(1, sqrt(q w))]; w >= 1 has it in [1, q/(q-1)].
-    Every element is halved the same fixed number of times, enough for a
-    relative width BISECT_TOL from the widest bracket, so each root is
-    independent of the rest of the batch.
-    """
-    w = np.ascontiguousarray(w, np.float64)
-    steps = math.ceil(math.log2(math.sqrt(q * (d - 1.0)) / BISECT_TOL))
-    s = np.empty_like(w)
-    near = w < 1.0
-    # log1p(-1) = -inf at s = 1 gives the exact powers of t = 0
-    with np.errstate(divide="ignore"):
-        for mask, side in ((near, True), (~near, False)):
-            if mask.any():
-                s[mask] = _halve(q, d, side, w[mask], steps)
-    return s
-
-
-def _halve(q, d, near, w, steps):
-    """Bisect gap_map(s) = w from the bracket of solve_gap_batch by steps
-    halvings of its width.
-    """
-    lo = np.sqrt(w / (d - 1.0)) if near else np.ones_like(w)
-    width = (np.minimum(np.sqrt(q * w), 1.0) if near else q / (q - 1.0)) - lo
-    for _ in range(steps):
-        width = 0.5 * width
-        mid = lo + width
-        lo = np.where(gap_map(q, d, mid, near) < w, mid, lo)
-    return lo + 0.5 * width

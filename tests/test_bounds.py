@@ -67,12 +67,24 @@ def test_margin_matches_direct_formula():
     assert np.allclose(rep.margin, bound - om, rtol=0, atol=1e-14)
 
 
+
+def test_margin_grid_rejects_nan():
+    # NaN compares False both ways, so a min/max range check let it through
+    # and min_margin came out nan
+    with pytest.raises(DomainError):
+        smallx_inequality_margin(2, 3, 6, np.array([1e-3, math.nan]))
+
 def test_growth_rate_values_d2_route():
     xs = np.linspace(0.05, 0.45, 9)
     got = growth_rate_values(2, 3, 2, xs)
     want = (1 - 3 / 2) * np.array([entropy_q(float(x), 2) for x in xs])
     assert np.allclose(got, want, rtol=0, atol=1e-14)
 
+
+
+def test_growth_rate_values_d2_rejects_nan():
+    with pytest.raises(DomainError):
+        growth_rate_values(2, 3, 2, np.array([0.1, math.nan]))
 
 def test_delta_flag_parity_rule():
     # brute force over the stated parameter box
@@ -137,3 +149,9 @@ def test_taylor_slack():
     assert taylor_check(4, np.array([0.0])) == 0.0
     for d in (2, 3, 5, 9):
         assert taylor_check(d, xs) >= 0.0
+
+
+def test_taylor_check_rejects_nan():
+    # Fraction(nan) used to raise ValueError past the range check
+    with pytest.raises(DomainError):
+        taylor_check(3, np.array([0.5, math.nan]))

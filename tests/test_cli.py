@@ -17,7 +17,9 @@ from ldpc_spectra import (
     EnsembleParams,
     avg_weight_distribution,
     cli,
+    domega,
     entropy_q,
+    omega,
     omega_curve,
     small_weight_scaling,
 )
@@ -137,6 +139,17 @@ def test_landmarks_slope_residual_large_d(capsys):
         assert (data["x3"] < 1e-8) == (d >= 500), (d, data)
 
 
+
+def test_landmarks_residuals_equal_scalar_evaluations(capsys):
+    # the two residuals share one solve over [x0, x3]; each root is
+    # independent of its batch, so they equal the scalar calls bit for bit
+    for q, c, d in ((2, 3, 6), (3, 3, 6), (2, 4, 8), (4, 3, 5), (2, 3, 2000)):
+        code, out, _ = invoke(capsys, "landmarks", "--q", str(q), "--c", str(c), "--d", str(d))
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert data["residuals"]["omega_at_x0"] == abs(omega(q, c, d, data["x0"]).omega)
+        assert data["residuals"]["domega_at_x3"] == abs(domega(q, c, d, data["x3"])), (q, c, d)
+
 def test_growth_resolves_weights_below_1e8(capsys):
     # omega ~ (c/2 - 1) x ln x < 0 falls smoothly from x = 0; the x = 0
     # value used to stand for every x < 1e-8 (omega = +2.2e-8, slope -inf
@@ -235,6 +248,34 @@ def test_bounds_with_distance_report(capsys):
     assert md["Delta"] == 1
     assert md["exponent_term"] == -2
 
+
+
+def test_data_block_key_sets(capsys):
+    # the data blocks are built from the result dataclasses' fields, so a
+    # new field shows up here before it reaches a document
+    code, out, _ = invoke(capsys, "landmarks", "--q", "2", "--c", "3", "--d", "6")
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert set(data) == {"x0", "x1", "x2", "x3", "zhat2", "zhat2_neg", "residuals"}
+    assert set(data["residuals"]) == {"omega_at_x0", "domega_at_x3", "xi_at_zhat2"}
+
+    code, out, _ = invoke(capsys, "bounds", "--q", "2", "--c", "3", "--d", "6", "--n", "60",
+                          "--l0", "3", "--alpha", "0.02", "--grid-steps", "5")
+    assert code == 0
+    assert set(json.loads(out)["data"]["min_distance"]) == {
+        "l0", "alpha", "Delta", "exponent_term", "exp_term", "filtered"}
+
+    code, out, _ = invoke(capsys, "simulate", "--q", "2", "--c", "3", "--d", "6", "--n", "12",
+                          "--trials", "5")
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert set(data) == {"params", "trials", "seed", "l0", "alpha", "filter_on", "overall",
+                         "filtered", "filter_pass_rate"}
+    assert set(data["params"]) == {"q", "c", "d", "n"}
+    stats = {"trials", "counts_sum", "mean", "stderr", "dmin_hits", "p_dmin_le",
+             "p_dmin_half_width"}
+    assert set(data["overall"]) == set(data["filtered"]) == stats
+    assert all(isinstance(v, str) for v in data["overall"]["counts_sum"])
 
 def test_gv_limit_rows(capsys):
     code, out, _ = invoke(

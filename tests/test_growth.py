@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from ldpc_spectra import (
     z_left_endpoint,
     zeta,
 )
+from ldpc_spectra.growth import solve_gap_batch
 
 FIG_PAIRS = [(2, 5), (2, 6), (3, 5), (3, 6)]
 FIG_TRIPLES = [(q, c, d) for q, d in FIG_PAIRS for c in (1, 2, 3)]
@@ -143,6 +145,31 @@ def test_solve_zhat1_below_range_rejected():
         solve_zhat1(2, 5, -0.61)
     with pytest.raises(DomainError):
         solve_zhat1(3, 6, -0.51)
+
+
+def test_solve_gap_batch_solves():
+    for q, d in ((2, 5), (2, 6), (3, 6), (4, 4)):
+        z = np.linspace(z_left_endpoint(q, d) + 1e-6, 1.0 - 1e-6, 257)
+        got = solve_gap_batch(q, d, 1.0 - z)
+        for zi, s in zip(z, got):
+            assert abs(zeta(q, d, 1.0 - float(s)) - zi) < 1e-10
+        # each element's bisection is independent of the rest of the batch
+        for i in (0, 128, 256):
+            single = solve_gap_batch(q, d, 1.0 - z[i:i + 1])
+            assert single[0] == got[i], (q, d, i)
+
+
+def test_solve_gap_batch_small_gaps_to_relative_precision():
+    # 1 - zeta(1 - s) = s**2 S(t) / (1 + (q-1) t**d), t = 1 - s,
+    # S(t) = sum_{k<d-1} t**k, evaluated exactly at the returned gap
+    for q, d in ((2, 6), (4, 6), (65536, 8)):
+        w = np.geomspace(1e-300, 1e-20, 9)
+        got = solve_gap_batch(q, d, w)
+        for wi, s in zip(w, got):
+            sf = Fraction(float(s))
+            t = 1 - sf
+            gap = sf**2 * sum(t**k for k in range(d - 1)) / (1 + (q - 1) * t**d)
+            assert abs(gap / Fraction(float(wi)) - 1) < 1e-11, (q, d, wi)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +324,19 @@ def test_omega_curve_matches_scalar():
 # ---------------------------------------------------------------------------
 # derivative
 
+
+
+def test_omega_curve_rejects_nan():
+    # a NaN weight used to pass the range check and come back with an
+    # unset slot of np.empty_like as its slope
+    with pytest.raises(DomainError):
+        omega_curve(2, 3, 6, [0.1, math.nan, 0.2])
+
+
+def test_delta_curve_rejects_nan():
+    # a NaN weight used to take the x = 0 values: delta = ln 3, zhat1 = 1
+    with pytest.raises(DomainError):
+        delta_curve(3, 6, [math.nan])
 
 def test_domega_zero_at_peak():
     for q, c, d in FIG_TRIPLES:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
-from ldpc_spectra import build_field, z_left_endpoint, zeta
-from ldpc_spectra.kernels import _count_bytes, count_weights, solve_gap_batch
+from ldpc_spectra import build_field
+from ldpc_spectra.kernels import _count_bytes, count_weights
 
 
 def brute_counts(basis, q, field):
@@ -99,28 +98,3 @@ def test_packed_counts_match_byte_kernel_and_brute_force():
         assert sum(got) == q**dim
         if q**dim <= 4096:
             assert got == brute_counts(basis, q, field), (q, basis.shape)
-
-
-def test_solve_gap_batch_solves():
-    for q, d in ((2, 5), (2, 6), (3, 6), (4, 4)):
-        z = np.linspace(z_left_endpoint(q, d) + 1e-6, 1.0 - 1e-6, 257)
-        got = solve_gap_batch(q, d, 1.0 - z)
-        for zi, s in zip(z, got):
-            assert abs(zeta(q, d, 1.0 - float(s)) - zi) < 1e-10
-        # each element's bisection is independent of the rest of the batch
-        for i in (0, 128, 256):
-            single = solve_gap_batch(q, d, 1.0 - z[i:i + 1])
-            assert single[0] == got[i], (q, d, i)
-
-
-def test_solve_gap_batch_small_gaps_to_relative_precision():
-    # 1 - zeta(1 - s) = s**2 S(t) / (1 + (q-1) t**d), t = 1 - s,
-    # S(t) = sum_{k<d-1} t**k, evaluated exactly at the returned gap
-    for q, d in ((2, 6), (4, 6), (65536, 8)):
-        w = np.geomspace(1e-300, 1e-20, 9)
-        got = solve_gap_batch(q, d, w)
-        for wi, s in zip(w, got):
-            sf = Fraction(float(s))
-            t = 1 - sf
-            gap = sf**2 * sum(t**k for k in range(d - 1)) / (1 + (q - 1) * t**d)
-            assert abs(gap / Fraction(float(wi)) - 1) < 1e-11, (q, d, wi)
