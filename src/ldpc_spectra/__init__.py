@@ -56,6 +56,7 @@ from .spectrum import (
     log_avg_upper_bound,
     log_fraction,
     single_check_coeffs,
+    small_weight_order,
     small_weight_scaling,
 )
 

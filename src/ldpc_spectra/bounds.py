@@ -18,35 +18,15 @@ import numpy as np
 from . import growth
 from .errors import DomainError, ParameterError
 from .gf import check_order
-from .spectrum import EnsembleParams
+from .spectrum import EnsembleParams, small_weight_order
 
 
 def kappa(q: int, c: int, d: int) -> float:
     """Constant of the small-weight bound: ln(q-1) + (c/2) ln(d-1) + 3c."""
     check_order(q)
     growth._check_c(c)
-    if d < 2:
-        raise ParameterError(f"check degree must be at least 2, got {d}")
+    growth._check_d(d, 2)
     return math.log(q - 1.0) + (c / 2.0) * math.log(d - 1.0) + 3.0 * c
-
-
-def growth_rate_values(q: int, c: int, d: int, xs) -> np.ndarray:
-    """omega on an array of weights, routing d = 2 through its closed form.
-
-    The cycle-code growth rate is (1 - c/2) H_q(x); higher check degrees go
-    through the variational evaluator.
-    """
-    xs = np.ascontiguousarray(xs, np.float64)
-    if d < 2:
-        raise ParameterError(f"check degree must be at least 2, got {d}")
-    if d == 2:
-        check_order(q)
-        growth._check_c(c)
-        if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
-            raise DomainError("weights must lie in [0, 1]")
-        return (1.0 - c / 2.0) * growth._entropy_vec(xs, q)
-    om, _ = growth.omega_curve(q, c, d, xs)
-    return om
 
 
 @dataclass(frozen=True)
@@ -80,7 +60,7 @@ def smallx_inequality_margin(q: int, c: int, d: int, x_grid) -> MarginReport:
     upper = 1.0 / q**2
     if not (xs.min() > 0.0 and xs.max() < upper):
         raise DomainError(f"grid must lie strictly inside (0, {upper})")
-    om = growth_rate_values(q, c, d, xs)
+    om, _ = growth.omega_curve(q, c, d, xs)
     k = kappa(q, c, d)
     bound = (c / 2.0 - 1.0) * xs * np.log(xs) + k * xs
     margin = bound - om
@@ -100,16 +80,18 @@ def smallx_inequality_margin(q: int, c: int, d: int, x_grid) -> MarginReport:
 class MinDistanceBoundReport:
     """Decay orders of P{dmin <= n*alpha} for one ensemble and block length.
 
-    The probability is bounded by a sum of two terms:
-    a polynomial term of order n**exponent_term with
-    exponent_term = -ceil((c-2)(l0+Delta)/2), where Delta = 1 exactly when
-    q = 2 and c*l0 is odd (the next even-mass weight takes over), plus an
-    exponential term of order n**1.5 * exp(n*omega(alpha)), vanishing
-    when alpha is below the typical-distance threshold.  The implied
-    constants of both orders are not specified by this bound; only the
-    orders are meaningful, and exp_term reports the n-dependent factor.
-    filtered marks the variant conditioned on no-all-zero-column codes,
-    which starts at l0 = 2.
+    The probability is bounded by a sum of two terms.  The polynomial term
+    has order n**exponent_term, the order of E[A(l0 + Delta)], where
+    l0 + Delta is the smallest weight from l0 on whose average does not
+    vanish at every n; spectrum.small_weight_order gives both.  In the
+    regime d >= c >= 3 that makes Delta = 1 exactly when q = 2 and c*l0 is
+    odd, and exponent_term = -ceil((c-2)(l0+Delta)/2).  The exponential
+    term has order n**1.5 * exp(n*omega(alpha)) and vanishes when alpha is
+    below the typical-distance threshold.  The implied constants of both
+    orders are not specified by this bound; only the orders are
+    meaningful, and exp_term reports the n-dependent factor.  filtered
+    marks the variant conditioned on no-all-zero-column codes, which
+    starts at l0 = 2.
     """
 
     params: EnsembleParams
@@ -136,8 +118,9 @@ def min_distance_bound(params: EnsembleParams, l0: int, alpha: float) -> MinDist
         raise ParameterError(f"l0 must be at least 1, got {l0}")
     if not 0.0 < alpha < (q - 1.0) / q:
         raise ParameterError(f"alpha must lie in (0, {(q - 1.0) / q}), got {alpha}")
-    delta_inc = 1 if (q == 2 and (c * l0) % 2 == 1) else 0
-    exponent = -math.ceil((c - 2) * (l0 + delta_inc) / 2)
+    delta_inc = 0
+    while (exponent := small_weight_order(q, c, d, l0 + delta_inc)) is None:
+        delta_inc += 1
     om = growth.omega(q, c, d, alpha).omega
     try:
         exp_term = params.n**1.5 * math.exp(params.n * om)

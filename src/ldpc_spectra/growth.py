@@ -386,8 +386,23 @@ def _domega_limit_x1(q: int, c: int, d: int) -> float:
     return -INF
 
 
+def _cycle_grid(q: int, c: int, x: np.ndarray):
+    """omega = (1 - c/2) H_q(x) of the cycle codes (d = 2) and its slope
+    (1 - c/2) [ln(q-1) + ln((1-x)/x)]: 0 everywhere for c = 2, and for
+    other c the limits (1 - c/2) * (+inf) at x = 0 and (1 - c/2) * (-inf)
+    at x = 1.
+    """
+    om = (1.0 - c / 2.0) * _entropy_vec(x, q)
+    if c == 2:
+        return om, np.zeros_like(x)
+    with np.errstate(divide="ignore"):
+        return om, (1.0 - c / 2.0) * (math.log(q - 1.0) + np.log1p(-x) - np.log(x))
+
+
 def _omega_grid(q: int, c: int, d: int, x: np.ndarray):
     """Vector omega evaluation: returns (omega, domega) arrays."""
+    if d == 2:
+        return _cycle_grid(q, c, x)
     gain, _, _, s, (near1, beyond, interior) = _delta_grid(q, d, x)
     om = _entropy_vec(x, q) + (c / d) * gain
     dom = np.empty_like(x)
@@ -445,10 +460,13 @@ def delta(q: int, d: int, x: float) -> DeltaEval:
 
 
 def omega(q: int, c: int, d: int, x: float) -> GrowthPoint:
-    """Growth rate omega(x) = H_q(x) + (c/d) (delta(x) - ln q), with derivative."""
+    """Growth rate omega(x) = H_q(x) + (c/d) (delta(x) - ln q), with derivative.
+
+    For the cycle codes, d = 2, this is the closed form (1 - c/2) H_q(x).
+    """
     check_order(q)
     _check_c(c)
-    _check_d(d)
+    _check_d(d, 2)
     _check_x(x)
     xs = np.array([x], np.float64)
     om, dom = _omega_grid(q, c, d, xs)
@@ -486,10 +504,13 @@ def domega_alt(q: int, c: int, d: int, x: float) -> float:
 
 
 def omega_curve(q: int, c: int, d: int, xs):
-    """Vectorized omega and its derivative over an array of weights in [0, 1]."""
+    """Vectorized omega and its derivative over an array of weights in [0, 1].
+
+    Check degrees d >= 2 are served, d = 2 by the closed form of omega.
+    """
     check_order(q)
     _check_c(c)
-    _check_d(d)
+    _check_d(d, 2)
     xs = np.ascontiguousarray(xs, np.float64)
     if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise DomainError("weights must lie in [0, 1]")

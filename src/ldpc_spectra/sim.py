@@ -424,9 +424,7 @@ def monte_carlo(
 
 
 def exhaustive_ensemble(
-    params: EnsembleParams,
-    config_cap: int = DEFAULT_CONFIG_CAP,
-    enum_cap: int = DEFAULT_ENUM_CAP,
+    params: EnsembleParams, config_cap: int = DEFAULT_CONFIG_CAP
 ) -> SpectrumTable:
     """Average the exact weight counts over every ensemble configuration.
 
@@ -468,7 +466,8 @@ def exhaustive_ensemble(
     while batch := list(islice(distinct, block)):
         matrices, multiplicities = zip(*batch)
         parity = np.frombuffer(b"".join(matrices), np.uint8)
-        counts, _ = _count_stack(field, parity.reshape(len(batch), params.num_checks, -1), enum_cap)
+        parity = parity.reshape(len(batch), params.num_checks, -1)
+        counts, _ = _count_stack(field, parity, DEFAULT_ENUM_CAP)
         for multiplicity, row in zip(multiplicities, counts.tolist()):
             totals = [t + multiplicity * v for t, v in zip(totals, row)]
     values = tuple(Fraction(t, n_configs) for t in totals)

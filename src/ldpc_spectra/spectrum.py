@@ -257,24 +257,46 @@ def log_avg_upper_bound(params: EnsembleParams, l: int) -> float:
 
     if not 0 <= l <= params.n:
         raise ParameterError(f"weight {l} outside [0, {params.n}]")
-    if params.d < 2:
-        raise ParameterError("the upper bound needs check degree d >= 2")
-    x = l / params.n
-    if params.d == 2:
-        om = (1.0 - params.c / 2.0) * growth.entropy_q(x, params.q)
-    else:
-        om = growth.omega(params.q, params.c, params.d, x).omega
+    om = growth.omega(params.q, params.c, params.d, l / params.n).omega
     return om + params.c * beta(params.c * params.n, params.c * l)
+
+
+def _leading_order(c: int, l: int) -> int:
+    """l - ceil(c*l/2), the order of every weight l that does not vanish."""
+    return l - (c * l + 1) // 2
+
+
+def small_weight_order(q: int, c: int, d: int, l: int) -> int | None:
+    """The order k of E[A(l)] = Theta(n**k) at a fixed weight l >= 1, or None
+    where E[A(l)] = 0 at every block length n.
+
+    The single-check polynomial P has P - 1 starting at x**2 (b(1) = 0), so
+    a(c*l) is a sum over k <= c*l/2 of C(N, k) times the coefficient of
+    x**(c*l) in (P - 1)**k, N = c*n/d, and the largest such k with a
+    nonzero coefficient sets the order l + k - c*l.  For q = 2, and for
+    d = 2, P - 1 has even powers only, so an odd c*l is never reached; for
+    d = 1, P = 1.  Otherwise the x**2 term, and for odd c*l one x**3 term,
+    reach every c*l >= 2, and the order is l - ceil(c*l/2); the
+    coefficients of P count solutions, so no terms cancel.
+    """
+    if l < 1:
+        raise ParameterError(f"weight must be at least 1, got {l}")
+    cl = c * l
+    if d < 2 or cl < 2 or (cl % 2 and (q == 2 or d == 2)):
+        return None
+    return _leading_order(c, l)
 
 
 @dataclass(frozen=True)
 class ScalingReport:
     """Log-log scaling of E[A(l)] at fixed small weight l across block lengths.
 
-    Either the degenerate-zero flag is set (where the average vanishes
-    identically: single-check columns at weight 1, or q = 2 with c*l odd)
-    or a least-squares slope of ln E[A(l)] against ln n is reported along
-    with the exact per-n values.
+    exact_zero is set, and slope is None, where small_weight_order finds
+    that E[A(l)] vanishes at every block length; otherwise slope is the
+    least-squares slope of ln E[A(l)] against ln n.  values holds the
+    exact per-n averages either way.  predicted_exponent is
+    l - ceil(c*l/2), the order small_weight_order gives every weight that
+    does not vanish.
     """
 
     q: int
@@ -291,41 +313,37 @@ class ScalingReport:
 def small_weight_scaling(q: int, c: int, d: int, l: int, n_list) -> ScalingReport:
     """Fit the polynomial decay of E[A(l)] in n at fixed weight l.
 
-    For non-degenerate parameters the average scales like
-    n**(-ceil((c-2)*l/2)); the report carries that predicted exponent and
-    the fitted slope over the supplied block lengths, of which at least 3
-    distinct ones must have a nonzero average.
+    Where the average does not vanish it scales like n**(l - ceil(c*l/2));
+    the report carries that predicted exponent and the fitted slope over
+    the supplied block lengths, of which at least 3 distinct ones must have
+    a nonzero average.
     """
     n_list = tuple(int(n) for n in n_list)
-    if l < 1:
-        raise ParameterError(f"weight must be at least 1, got {l}")
+    order = small_weight_order(q, c, d, l)
     params_list = [EnsembleParams(q=q, c=c, d=d, n=n) for n in n_list]
     for p in params_list:
         if l > p.n:
             raise ParameterError(f"weight {l} exceeds block length {p.n}")
     values = tuple(avg_weight_at(p, l) for p in params_list)
-    degenerate = (c == 1 and l == 1) or (q == 2 and (c * l) % 2 == 1)
-    predicted = -math.ceil((c - 2) * l / 2)
-    if degenerate:
-        if any(v != 0 for v in values):
-            raise AssertionError("degenerate case produced a nonzero average")
-        return ScalingReport(
-            q=q, c=c, d=d, l=l, n_list=n_list, values=values,
-            exact_zero=True, slope=None, predicted_exponent=predicted,
-        )
-    usable = [(math.log(n), log_fraction(v)) for n, v in zip(n_list, values) if v > 0]
-    distinct = len({x for x, _ in usable})
-    if distinct < 3:
-        raise ParameterError(
-            f"need at least 3 block lengths with nonzero averages, got {distinct}"
-        )
-    xs = [u[0] for u in usable]
-    ys = [u[1] for u in usable]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    slope = None
+    if order is None:
+        if any(values):
+            raise AssertionError("a vanishing weight produced a nonzero average")
+    else:
+        usable = [(math.log(n), log_fraction(v)) for n, v in zip(n_list, values) if v > 0]
+        distinct = len({x for x, _ in usable})
+        if distinct < 3:
+            raise ParameterError(
+                f"need at least 3 block lengths with nonzero averages, got {distinct}"
+            )
+        xs = [u[0] for u in usable]
+        ys = [u[1] for u in usable]
+        xbar = sum(xs) / len(xs)
+        ybar = sum(ys) / len(ys)
+        sxx = sum((x - xbar) ** 2 for x in xs)
+        sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+        slope = sxy / sxx
     return ScalingReport(
         q=q, c=c, d=d, l=l, n_list=n_list, values=values,
-        exact_zero=False, slope=sxy / sxx, predicted_exponent=predicted,
+        exact_zero=slope is None, slope=slope, predicted_exponent=_leading_order(c, l),
     )

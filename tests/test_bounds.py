@@ -15,11 +15,11 @@ from ldpc_spectra import (
     kappa,
     landmarks,
     min_distance_bound,
+    omega_curve,
     smallx_inequality_margin,
     taylor_check,
     zero_column_filtered_bound,
 )
-from ldpc_spectra.bounds import growth_rate_values
 
 
 def test_kappa_closed_forms():
@@ -62,7 +62,7 @@ def test_margin_matches_direct_formula():
     q, c, d = 2, 3, 6
     xs = np.array([1e-4, 1e-3, 0.01])
     rep = smallx_inequality_margin(q, c, d, xs)
-    om = growth_rate_values(q, c, d, xs)
+    om, _ = omega_curve(q, c, d, xs)
     bound = (c / 2 - 1) * xs * np.log(xs) + kappa(q, c, d) * xs
     assert np.allclose(rep.margin, bound - om, rtol=0, atol=1e-14)
 
@@ -76,7 +76,7 @@ def test_margin_grid_rejects_nan():
 
 def test_growth_rate_values_d2_route():
     xs = np.linspace(0.05, 0.45, 9)
-    got = growth_rate_values(2, 3, 2, xs)
+    got, _ = omega_curve(2, 3, 2, xs)
     want = (1 - 3 / 2) * np.array([entropy_q(float(x), 2) for x in xs])
     assert np.allclose(got, want, rtol=0, atol=1e-14)
 
@@ -84,7 +84,7 @@ def test_growth_rate_values_d2_route():
 
 def test_growth_rate_values_d2_rejects_nan():
     with pytest.raises(DomainError):
-        growth_rate_values(2, 3, 2, np.array([0.1, math.nan]))
+        omega_curve(2, 3, 2, np.array([0.1, math.nan]))
 
 def test_delta_flag_parity_rule():
     # brute force over the stated parameter box

@@ -240,13 +240,30 @@ def test_bounds_distance_needs_l0_and_alpha(capsys):
 
 
 def test_bounds_with_distance_report(capsys):
-    code, out, _ = invoke(
-        capsys, "bounds", "--q", "2", "--c", "3", "--d", "6", "--n", "60",
-        "--l0", "3", "--alpha", "0.02")
-    assert code == 0
-    md = json.loads(out)["data"]["min_distance"]
-    assert md["Delta"] == 1
-    assert md["exponent_term"] == -2
+    # the filtered bound starts at l0 = 2 whatever --l0 says
+    cases = {
+        "--n 60 --l0 3 --alpha 0.02": (3, 1, -2, False),
+        "--n 60 --l0 3 --alpha 0.02 --filtered": (2, 0, -1, True),
+        "--n 600 --l0 3 --alpha 0.01": (3, 1, -2, False),
+        "--n 600 --l0 3 --alpha 0.01 --filtered": (2, 0, -1, True),
+    }
+    for argv, want in cases.items():
+        code, out, _ = invoke(capsys, "bounds", "--q", "2", "--c", "3", "--d", "6",
+                              *argv.split())
+        assert code == 0, argv
+        md = json.loads(out)["data"]["min_distance"]
+        assert (md["l0"], md["Delta"], md["exponent_term"], md["filtered"]) == want, argv
+
+
+def test_small_weight_vanishing_weights_exit_0(capsys):
+    # d = 2 with odd c*l over GF(3), and d = 1, vanish at every n; both used
+    # to exit 2 for want of nonzero averages to fit a slope to
+    for argv in ("--q 3 --c 3 --d 2 --l 1", "--q 3 --c 3 --d 1 --l 2"):
+        code, out, err = invoke(capsys, "small-weight", *argv.split(), "--n-list", "20,40,80")
+        assert (code, err) == (0, ""), argv
+        data = json.loads(out)["data"]
+        assert data["exact_zero"] is True and data["slope"] is None, argv
+        assert [(p["numerator"], p["denominator"]) for p in data["points"]] == [("0", "1")] * 3
 
 
 

@@ -321,6 +321,24 @@ def test_omega_curve_matches_scalar():
             assert dom[i] == pt.domega
 
 
+def test_omega_d2_slope_closed_form():
+    # cycle codes: omega = (1 - c/2) H_q(x), whose slope
+    # (1 - c/2) [ln(q-1) + ln((1-x)/x)] is 0 for c = 2 and tends to
+    # (1 - c/2) * (+inf) at x = 0 and (1 - c/2) * (-inf) at x = 1
+    xs = np.linspace(0.0, 1.0, 21)
+    inner = xs[1:-1]
+    limits = {1: (math.inf, -math.inf), 2: (0.0, 0.0), 3: (-math.inf, math.inf)}
+    for q in (2, 3, 4):
+        for c in (1, 2, 3):
+            om, dom = omega_curve(q, c, 2, xs)
+            want = (1 - c / 2) * (math.log(q - 1) + np.log((1 - inner) / inner))
+            assert np.allclose(dom[1:-1], want, rtol=1e-13, atol=1e-15), (q, c)
+            assert (dom[0], dom[-1]) == limits[c], (q, c)
+            for i in (0, 7, 20):
+                pt = omega(q, c, 2, float(xs[i]))
+                assert (pt.omega, pt.domega) == (om[i], dom[i]), (q, c, i)
+
+
 # ---------------------------------------------------------------------------
 # derivative
 

@@ -8,6 +8,7 @@ against the math.comb form of the ensemble average.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,7 +25,9 @@ from ldpc_spectra import (
     check_coeffs,
     log_avg_upper_bound,
     log_fraction,
+    min_distance_bound,
     single_check_coeffs,
+    small_weight_order,
     small_weight_scaling,
 )
 
@@ -288,6 +291,36 @@ def test_small_weight_scaling_degenerate_zero():
     assert all(v == 0 for v in rep.values)
     rep = small_weight_scaling(3, 1, 3, 1, [12, 24, 36])
     assert rep.exact_zero
+
+
+def test_small_weight_order_matches_exact_averages():
+    # every weight the rule calls vanishing is exactly 0 at n = 600 and 6000,
+    # and every other one decays between them at the rule's order
+    for q, c, d, l in itertools.product((2, 3, 4, 5), range(1, 6), range(1, 7), range(1, 5)):
+        lo, hi = (avg_weight_at(EnsembleParams(q=q, c=c, d=d, n=n), l) for n in (600, 6000))
+        order = small_weight_order(q, c, d, l)
+        if order is None:
+            assert lo == hi == 0, (q, c, d, l)
+        else:
+            slope = (log_fraction(hi) - log_fraction(lo)) / math.log(10)
+            assert abs(slope - order) < 0.1, (q, c, d, l, slope)
+    # E[A(0)] = 1, so weight 0 is refused rather than called vanishing
+    with pytest.raises(ParameterError, match="weight must be at least 1, got 0"):
+        small_weight_order(2, 3, 6, 0)
+
+
+def former_min_distance_orders(q, c, l0):
+    # Delta and exponent_term as min_distance_bound wrote them out itself
+    delta_inc = 1 if (q == 2 and (c * l0) % 2 == 1) else 0
+    return delta_inc, -math.ceil((c - 2) * (l0 + delta_inc) / 2)
+
+
+def test_min_distance_orders_equal_former_formula():
+    for q, c, l0 in itertools.product((2, 3, 4), range(3, 7), range(1, 7)):
+        for d in range(c, 9):
+            rep = min_distance_bound(EnsembleParams(q=q, c=c, d=d, n=10 * d), l0, 0.01)
+            assert (rep.Delta, rep.exponent_term) == former_min_distance_orders(q, c, l0), (
+                q, c, d, l0)
 
 
 def test_small_weight_scaling_needs_three_points():
