@@ -26,6 +26,7 @@ from .growth import (
     landmarks,
     omega,
     omega_curve,
+    omega_family,
     rho,
     solve_zhat1,
     x1_right_endpoint,

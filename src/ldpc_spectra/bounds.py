@@ -60,7 +60,7 @@ def smallx_inequality_margin(q: int, c: int, d: int, x_grid) -> MarginReport:
     upper = 1.0 / q**2
     if not (xs.min() > 0.0 and xs.max() < upper):
         raise DomainError(f"grid must lie strictly inside (0, {upper})")
-    om, _ = growth.omega_curve(q, c, d, xs)
+    om = growth.omega_family(q, (c,), d, xs)[0]
     k = kappa(q, c, d)
     bound = (c / 2.0 - 1.0) * xs * np.log(xs) + k * xs
     margin = bound - om

@@ -351,7 +351,7 @@ def figure_data(fig_id: int) -> tuple[list[str], list[tuple]]:
     elif fig_id in FIGURE_OMEGA_SETS:
         q, d = FIGURE_OMEGA_SETS[fig_id]
         header = ["x"] + [f"omega_c{c}" for c in (1, 2, 3)]
-        columns = [growth.omega_curve(q, c, d, xs)[0] for c in (1, 2, 3)]
+        columns = growth.omega_family(q, (1, 2, 3), d, xs)
     else:
         raise ParameterError(f"figure id must be 1..5, got {fig_id}")
     return header, _columns(xs, *columns)

@@ -20,8 +20,9 @@ s = 1 - zhat, which solves
 
 with no digit of x lost, so omega is resolved down to x = 1e-300 and only
 x = 0 itself takes its limit values.  gap_map is the left side as a map of
-s, and solve_gap_batch inverts it, x -> gap, by a batched bisection for the
-curves; the landmarks are single roots in the gap, whose weight
+s, and solve_gap_batch inverts it, x -> gap, by a batched bracketed Newton
+iteration for the curves, one solve for every c since the gap depends on
+q, d and x alone; the landmarks are single roots in the gap, whose weight
 x(s) = (q-1)(1 - zeta(1 - s))/q, omega and slope are closed forms in s
 (Burshtein & Miller 2004; Di, Richardson & Urbanke 2006).  Extended reals
 are first class: delta and omega are -inf on the unreachable weight range
@@ -47,7 +48,7 @@ ENDPOINT_BAND = 1e-8
 
 INF = float("inf")
 
-# Relative bracket width of the gap solve, and the iteration cap of the
+# Relative step at which the gap solve stops, and the iteration cap of the
 # scalar bisections run to the floating point floor.
 BISECT_TOL = 1e-12
 BISECT_MAXIT = 200
@@ -73,29 +74,38 @@ def _check_x(x: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def tilt_powers(d, s, near):
-    """(t**(d-1), 1 - t**(d-1), t**d) at the tilt t = 1 - s, floats or arrays.
+def tilt_powers(q, d, s, near):
+    """(t**(d-1), 1 - t**(d-1), 1 + (q-1) t**d) at the tilt t = 1 - s,
+    floats or arrays.
 
     near: through log1p and expm1 of s itself, for gaps s <= 1, so that no
     digit of a small gap is lost.  Otherwise plain powers of t, for any gap
     in [0, q/(q-1)], exact to rounding where (d-1) s is not small; |t| is
-    raised, since numpy's power is slow on negative bases.
+    raised, since numpy's power is slow on negative bases.  For q = 2 with
+    odd d, where t**(d-1) -> 1 and 1 + t**d -> 0 as t -> -1, both
+    differences from 1 go through expm1 of ln|t| instead.
     """
     t = 1.0 - s
     if near:
         lt = (d - 1) * np.log1p(-s)
         p = np.exp(lt)
-        return p, -np.expm1(lt), p * t
+        return p, -np.expm1(lt), 1.0 + (q - 1.0) * (p * t)
+    if q == 2 and d % 2 == 1:
+        with np.errstate(divide="ignore"):
+            la = np.log(np.abs(t))
+        lt = (d - 1) * la
+        p = np.exp(lt)
+        return p, -np.expm1(lt), np.where(t < 0.0, -np.expm1(lt + la), 1.0 + p * t)
     p = np.abs(t) ** (d - 1)
     if d % 2 == 0:
         p = np.copysign(p, t)
-    return p, 1.0 - p, p * t
+    return p, 1.0 - p, 1.0 + (q - 1.0) * (p * t)
 
 
 def gap_map(q, d, s, near):
     """1 - zeta(1 - s) = s (1 - t**(d-1)) / (1 + (q-1) t**d), t = 1 - s."""
-    _, m, pd = tilt_powers(d, s, near)
-    return s * m / (1.0 + (q - 1.0) * pd)
+    _, m, den = tilt_powers(q, d, s, near)
+    return s * m / den
 
 
 def _sides(near: np.ndarray, form) -> np.ndarray:
@@ -110,33 +120,63 @@ def _sides(near: np.ndarray, form) -> np.ndarray:
 
 
 def solve_gap_batch(q, d, w):
-    """Solve 1 - zeta(1 - s) = w[i] elementwise for the gap s by bisection.
+    """Solve 1 - zeta(1 - s) = w[i] elementwise for the gap s by bracketed Newton.
 
     w = q x / (q-1) > 0 carries every digit of the weight x.  The gap map
     over s**2 lies in [1/q, d-1] for s <= 1, so w < 1 has its root in
     [sqrt(w/(d-1)), min(1, sqrt(q w))]; w >= 1 has it in [1, q/(q-1)].
-    Every element is halved the same fixed number of times, enough for a
-    relative width BISECT_TOL from the widest bracket, so each root is
-    independent of the rest of the batch.
+    Newton runs on ln gap_map(s) - ln w in u = ln s, and every evaluation
+    narrows the bracket.  A step that leaves the bracket, or is more than
+    half the step before it, is replaced by the bracket's midpoint.  Each
+    element stops on its own once its step falls to BISECT_TOL relative, so
+    its root is independent of the rest of the batch, and it takes at most
+    as many iterations as halving the widest bracket to that width would.
     """
     w = np.ascontiguousarray(w, np.float64)
-    steps = math.ceil(math.log2(math.sqrt(q * (d - 1.0)) / BISECT_TOL))
+    cap = math.ceil(math.log2(math.sqrt(q * (d - 1.0)) / BISECT_TOL))
     # log1p(-1) = -inf at s = 1 gives the exact powers of t = 0
     with np.errstate(divide="ignore"):
-        return _sides(w < 1.0, lambda k, near: _halve(q, d, near, w[k], steps))
+        return _sides(w < 1.0, lambda k, near: _newton(q, d, near, w[k], cap))
 
 
-def _halve(q, d, near, w, steps):
-    """Bisect gap_map(s) = w from the bracket of solve_gap_batch by steps
-    halvings of its width.
+def _newton(q, d, near, w, cap):
+    """Bracketed Newton for gap_map(s) = w on one side of the bracket of
+    solve_gap_batch, at most cap iterations per element.
     """
-    lo = np.sqrt(w / (d - 1.0)) if near else np.ones_like(w)
-    width = (np.minimum(np.sqrt(q * w), 1.0) if near else q / (q - 1.0)) - lo
-    for _ in range(steps):
-        width = 0.5 * width
-        mid = lo + width
-        lo = np.where(gap_map(q, d, mid, near) < w, mid, lo)
-    return lo + 0.5 * width
+    if near:
+        lo = np.sqrt(w / (d - 1.0))
+        hi = np.minimum(np.sqrt(q * w), 1.0)
+        s = np.clip(np.sqrt(q * w / (d - 1.0)), lo, hi)
+    else:
+        lo = s = np.ones_like(w)
+        hi = np.full_like(w, q / (q - 1.0))
+    last = np.full_like(w, INF)
+    out = np.empty_like(w)
+    idx = np.arange(w.size)
+    for _ in range(cap):
+        p, m, den = tilt_powers(q, d, s, near)
+        f = np.log(s * m / (den * w))
+        # d ln gap_map / d ln s, with t**(d-2) = p/t taken as 0 at t = 0
+        t = 1.0 - s
+        slope = 1.0 + s * p * ((d - 1.0) / (m * np.where(t == 0.0, 1.0, t)) + d * (q - 1.0) / den)
+        below = f < 0.0
+        lo = np.where(below, s, lo)
+        hi = np.where(below, hi, s)
+        new = s * np.exp(-f / slope)
+        step = np.abs(new - s)
+        newton = ((lo < new) & (new < hi) & (2.0 * step <= last)) | (step == 0.0)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        last = np.abs(new - s)
+        done = last <= BISECT_TOL * s
+        if done.any():
+            out[idx[done]] = new[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            idx, new, lo, hi, w, last = idx[keep], new[keep], lo[keep], hi[keep], w[keep], last[keep]
+        s = new
+    out[idx] = s
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +355,13 @@ def _gain(q: int, d: int, x, s, near: bool, coef: list[float]):
     if near:
         excess = np.log1p(_horner(coef, d * s) * np.exp(-d * np.log1p(-xh)))
     else:
-        td = tilt_powers(d, s, near)[2]
-        excess = np.log((1.0 + (q - 1.0) * td) / q) - d * np.log1p(-xh)
+        excess = np.log(tilt_powers(q, d, s, near)[2] / q) - d * np.log1p(-xh)
     return d * (x * np.log(x / xh) + (1.0 - x) * np.log1p(-x) + x * np.log1p(-xh)) + excess
 
 
 def _slope(q: int, c: int, d: int, s, near: bool):
     """omega'(x) = ln[(1 + (q-1) t)/s] + (c-1) ln[(1 - t**(d-1))/(1 + (q-1) t**(d-1))]."""
-    p, m, _ = tilt_powers(d, s, near)
+    p, m, _ = tilt_powers(q, d, s, near)
     return (math.log(q) + np.log1p(-(q - 1.0) / q * s) - np.log(s)
             + (c - 1) * (np.log(m) - np.log1p((q - 1.0) * p)))
 
@@ -386,25 +425,19 @@ def _domega_limit_x1(q: int, c: int, d: int) -> float:
     return -INF
 
 
-def _cycle_grid(q: int, c: int, x: np.ndarray):
-    """omega = (1 - c/2) H_q(x) of the cycle codes (d = 2) and its slope
-    (1 - c/2) [ln(q-1) + ln((1-x)/x)]: 0 everywhere for c = 2, and for
-    other c the limits (1 - c/2) * (+inf) at x = 0 and (1 - c/2) * (-inf)
-    at x = 1.
+def _cycle_slope(q: int, c: int, x: np.ndarray):
+    """Slope (1 - c/2) [ln(q-1) + ln((1-x)/x)] of the cycle-code growth
+    rate (d = 2): 0 everywhere for c = 2, and for other c the limits
+    (1 - c/2) * (+inf) at x = 0 and (1 - c/2) * (-inf) at x = 1.
     """
-    om = (1.0 - c / 2.0) * _entropy_vec(x, q)
     if c == 2:
-        return om, np.zeros_like(x)
+        return np.zeros_like(x)
     with np.errstate(divide="ignore"):
-        return om, (1.0 - c / 2.0) * (math.log(q - 1.0) + np.log1p(-x) - np.log(x))
+        return (1.0 - c / 2.0) * (math.log(q - 1.0) + np.log1p(-x) - np.log(x))
 
 
-def _omega_grid(q: int, c: int, d: int, x: np.ndarray):
-    """Vector omega evaluation: returns (omega, domega) arrays."""
-    if d == 2:
-        return _cycle_grid(q, c, x)
-    gain, _, _, s, (near1, beyond, interior) = _delta_grid(q, d, x)
-    om = _entropy_vec(x, q) + (c / d) * gain
+def _slope_grid(q: int, c: int, d: int, x: np.ndarray, s: np.ndarray, regions):
+    near1, beyond, interior = regions
     dom = np.empty_like(x)
     dom[x == 0.0] = _domega_limit_zero(q, c, d)
     dom[near1] = _domega_limit_x1(q, c, d)
@@ -412,7 +445,21 @@ def _omega_grid(q: int, c: int, d: int, x: np.ndarray):
     if interior.any():
         si = s[interior]
         dom[interior] = _sides(si < 1.0 / d, lambda k, near: _slope(q, c, d, si[k], near))
-    return om, dom
+    return dom
+
+
+def _omega_grid(q: int, cs, d: int, x: np.ndarray, slope: bool):
+    """omega over the weights x for each variable degree in cs, from one
+    delta solve: a list of (omega, domega) pairs, domega None unless slope.
+
+    For the cycle codes, d = 2, omega is (1 - c/2) H_q(x).
+    """
+    h = _entropy_vec(x, q)
+    if d == 2:
+        return [((1.0 - c / 2.0) * h, _cycle_slope(q, c, x) if slope else None) for c in cs]
+    gain, _, _, s, regions = _delta_grid(q, d, x)
+    return [(h + (c / d) * gain, _slope_grid(q, c, d, x, s, regions) if slope else None)
+            for c in cs]
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +515,7 @@ def omega(q: int, c: int, d: int, x: float) -> GrowthPoint:
     _check_c(c)
     _check_d(d, 2)
     _check_x(x)
-    xs = np.array([x], np.float64)
-    om, dom = _omega_grid(q, c, d, xs)
+    om, dom = _omega_grid(q, (c,), d, np.array([x], np.float64), True)[0]
     return GrowthPoint(x=x, omega=float(om[0]), domega=float(dom[0]))
 
 
@@ -488,14 +534,15 @@ def domega(q: int, c: int, d: int, x: float) -> float:
 def domega_alt(q: int, c: int, d: int, x: float) -> float:
     """Derivative of the growth rate in the weight form (equal to domega).
 
-    d omega/dx = ln[(x/(1-x))**(c-1) * ((1-xhat1)/xhat1)**c] + ln(q-1).
-    Only defined for x strictly inside (0, x1), short of the band at x1.
+    d omega/dx = ln[(x/(1-x))**(c-1) * ((1-xhat1)/xhat1)**c] + ln(q-1),
+    xhat1 = (q-1) s/q at the gap s solved for x.  Check degrees d >= 2 are
+    served; x must lie strictly inside (0, x1), short of the band at x1.
     """
     _check_c(c)
     x1 = x1_right_endpoint(q, d)
     if not 0.0 < x <= x1 - ENDPOINT_BAND:
         raise DomainError(f"weight-form derivative needs x inside (0, {x1 - ENDPOINT_BAND}]")
-    xh = delta(q, d, x).xhat1
+    xh = (q - 1.0) / q * float(solve_gap_batch(q, d, np.array([q * x / (q - 1.0)]))[0])
     return (
         (c - 1) * math.log(x / (1.0 - x))
         + c * math.log((1.0 - xh) / xh)
@@ -503,28 +550,42 @@ def domega_alt(q: int, c: int, d: int, x: float) -> float:
     )
 
 
+def _weights(xs) -> np.ndarray:
+    xs = np.ascontiguousarray(xs, np.float64)
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
+        raise DomainError("weights must lie in [0, 1]")
+    return xs
+
+
+def _omega_weights(q: int, cs, d: int, xs) -> np.ndarray:
+    check_order(q)
+    for c in cs:
+        _check_c(c)
+    _check_d(d, 2)
+    return _weights(xs)
+
+
 def omega_curve(q: int, c: int, d: int, xs):
     """Vectorized omega and its derivative over an array of weights in [0, 1].
 
     Check degrees d >= 2 are served, d = 2 by the closed form of omega.
     """
-    check_order(q)
-    _check_c(c)
-    _check_d(d, 2)
-    xs = np.ascontiguousarray(xs, np.float64)
-    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
-        raise DomainError("weights must lie in [0, 1]")
-    return _omega_grid(q, c, d, xs)
+    return _omega_grid(q, (c,), d, _omega_weights(q, (c,), d, xs), True)[0]
+
+
+def omega_family(q: int, cs, d: int, xs):
+    """omega alone over an array of weights in [0, 1], one array for each
+    variable degree in the sequence cs, all from one solve of the gap,
+    which depends on q, d and x only.
+    """
+    return [om for om, _ in _omega_grid(q, cs, d, _omega_weights(q, cs, d, xs), False)]
 
 
 def delta_curve(q: int, d: int, xs):
     """Vectorized delta over an array of weights: (value, zhat1, xhat1) arrays."""
     check_order(q)
     _check_d(d)
-    xs = np.ascontiguousarray(xs, np.float64)
-    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
-        raise DomainError("weights must lie in [0, 1]")
-    gain, zh, xh, *_ = _delta_grid(q, d, xs)
+    gain, zh, xh, *_ = _delta_grid(q, d, _weights(xs))
     return gain + math.log(q), zh, xh
 
 
@@ -711,6 +772,7 @@ __all__ = [
     "landmarks",
     "omega",
     "omega_curve",
+    "omega_family",
     "rho",
     "solve_zhat1",
     "x1_right_endpoint",

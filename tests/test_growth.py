@@ -31,7 +31,8 @@ from ldpc_spectra import (
     z_left_endpoint,
     zeta,
 )
-from ldpc_spectra.growth import solve_gap_batch
+from ldpc_spectra.cli import figure_data
+from ldpc_spectra.growth import BISECT_TOL, _sides, gap_map, omega_family, solve_gap_batch
 
 FIG_PAIRS = [(2, 5), (2, 6), (3, 5), (3, 6)]
 FIG_TRIPLES = [(q, c, d) for q, d in FIG_PAIRS for c in (1, 2, 3)]
@@ -153,10 +154,17 @@ def test_solve_gap_batch_solves():
         got = solve_gap_batch(q, d, 1.0 - z)
         for zi, s in zip(z, got):
             assert abs(zeta(q, d, 1.0 - float(s)) - zi) < 1e-10
-        # each element's bisection is independent of the rest of the batch
-        for i in (0, 128, 256):
-            single = solve_gap_batch(q, d, 1.0 - z[i:i + 1])
-            assert single[0] == got[i], (q, d, i)
+
+
+def test_solve_gap_batch_roots_independent_of_batch():
+    # every element stops on its own, so its root is the one it has alone
+    for q, d in ((2, 5), (3, 6)):
+        x1 = x1_right_endpoint(q, d)
+        xs = np.linspace(0.0, 1.0, 1001)
+        w = q * xs[(xs > 0.0) & (xs < x1 - 1e-8)] / (q - 1.0)
+        got = solve_gap_batch(q, d, w)
+        for i in range(w.size):
+            assert solve_gap_batch(q, d, w[i:i + 1])[0] == got[i], (q, d, i)
 
 
 def test_solve_gap_batch_small_gaps_to_relative_precision():
@@ -170,6 +178,58 @@ def test_solve_gap_batch_small_gaps_to_relative_precision():
             t = 1 - sf
             gap = sf**2 * sum(t**k for k in range(d - 1)) / (1 + (q - 1) * t**d)
             assert abs(gap / Fraction(float(wi)) - 1) < 1e-11, (q, d, wi)
+
+
+def _halve(q, d, near, w, steps):
+    """Bisect gap_map(s) = w from the bracket of solve_gap_batch by steps
+    halvings of its width: the fixed-step reference for the Newton solve.
+    """
+    lo = np.sqrt(w / (d - 1.0)) if near else np.ones_like(w)
+    width = (np.minimum(np.sqrt(q * w), 1.0) if near else q / (q - 1.0)) - lo
+    for _ in range(steps):
+        width = 0.5 * width
+        mid = lo + width
+        lo = np.where(gap_map(q, d, mid, near) < w, mid, lo)
+    return lo + 0.5 * width
+
+
+def _bisected_gaps(q, d, xs):
+    w = q * np.asarray(xs, np.float64) / (q - 1.0)
+    steps = math.ceil(math.log2(math.sqrt(q * (d - 1.0)) / BISECT_TOL))
+    with np.errstate(divide="ignore"):
+        return _sides(w < 1.0, lambda k, near: _halve(q, d, near, w[k], steps))
+
+
+def _interior(q, d, xs):
+    xs = np.asarray(xs, np.float64)
+    return xs[(xs > 0.0) & (xs < x1_right_endpoint(q, d) - 1e-8)]
+
+
+TINY_XS = [1e-300, 1e-100, 1e-20, 1e-8]
+
+
+def _gap_solve_cases():
+    # the figure, growth and delta grid; the bounds grid; the q = 2 far
+    # side up to x1 - 2e-8; large q and d; and the tiniest weights
+    figure = np.linspace(0.0, 1.0, 1001)
+    smallx = lambda q: np.geomspace(1e-6, (1.0 - 1e-9) / q**2, 1000)
+    cases = [(q, d, figure) for q, d in FIG_PAIRS]
+    cases += [(q, d, smallx(q)) for q, d in ((2, 6), (3, 6), (2, 5), (4, 6))]
+    for q, d in ((2, 5), (2, 6)):
+        x1 = x1_right_endpoint(q, d)
+        cases.append((q, d, np.linspace(0.5, x1 - 2e-8, 2001)))
+        cases.append((q, d, x1 - np.geomspace(2e-8, 1e-2, 200)))
+    for q, d in ((256, 8), (65536, 3), (65521, 8), (2, 3000)):
+        cases.append((q, d, np.linspace(0.0, 1.0, 2001)))
+    return [(q, d, np.concatenate([_interior(q, d, xs), TINY_XS])) for q, d, xs in cases]
+
+
+def test_solve_gap_batch_matches_bisection():
+    for q, d, xs in _gap_solve_cases():
+        got = solve_gap_batch(q, d, q * xs / (q - 1.0))
+        want = _bisected_gaps(q, d, xs)
+        worst = np.max(np.abs(got - want) / want)
+        assert worst <= 1e-12, (q, d, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +404,26 @@ def test_omega_d2_slope_closed_form():
 
 
 
+def test_omega_family_shares_one_solve_exactly():
+    xs = np.linspace(0.0, 1.0, 1001)
+    for q, d in FIG_PAIRS + [(3, 2)]:
+        family = omega_family(q, (1, 2, 3), d, xs)
+        for c, om in zip((1, 2, 3), family):
+            assert np.array_equal(om, omega_curve(q, c, d, xs)[0], equal_nan=True), (q, c, d)
+    shapes = {1: ["x", "delta_2_5", "delta_2_6", "delta_3_5", "delta_3_6"]}
+    for fig in range(1, 6):
+        header, rows = figure_data(fig)
+        assert header == shapes.get(fig, ["x", "omega_c1", "omega_c2", "omega_c3"]), fig
+        assert len(rows) == 1001 and {len(row) for row in rows} == {len(header)}, fig
+
+
+def test_omega_family_checks_every_degree():
+    with pytest.raises(ParameterError):
+        omega_family(2, (1, 0, 3), 6, [0.1])
+    with pytest.raises(DomainError):
+        omega_family(2, (1, 2, 3), 6, [0.1, 1.5])
+
+
 def test_omega_curve_rejects_nan():
     # a NaN weight used to pass the range check and come back with an
     # unset slot of np.empty_like as its slope
@@ -399,6 +479,18 @@ def test_domega_two_forms_agree():
             assert abs(a - b) < 1e-10, (q, c, d, x)
 
 
+def test_domega_two_forms_agree_for_cycle_codes():
+    # at q = 2, c = 3, x = 0.1 the gap solves s**2 = 0.2 (1 + (1 - s)**2),
+    # so s = 1/2, xhat1 = 1/4, and both forms give 2 ln(1/9) + 3 ln 3 = -ln 3
+    assert domega_alt(2, 3, 2, 0.1) == pytest.approx(-math.log(3.0), rel=1e-14)
+    assert domega(2, 3, 2, 0.1) == pytest.approx(-math.log(3.0), rel=1e-14)
+    for q in (2, 3, 5, 256):
+        for c in (1, 2, 3, 6):
+            for x in (1e-9, 0.01, 0.1, 0.4, 1.0 - 1.0 / q, 0.9, 0.999):
+                want = domega(q, c, 2, x)
+                assert domega_alt(q, c, 2, x) == pytest.approx(want, rel=1e-12, abs=1e-12), (q, c, x)
+
+
 def _decimal_oracle(q, c, d, x, digits=420):
     """omega(x) and omega'(x) from d D(x || xhat) + rho(xhat) at `digits` digits.
 
@@ -446,8 +538,8 @@ def test_omega_matches_decimal_oracle(q, c, d):
     om, dom = omega_curve(q, c, d, xs)
     for x, got, slope in zip(xs, om, dom):
         want, want_slope = _decimal_oracle(q, c, d, float(x))
-        assert abs(got - want) <= 1e-10 * abs(want), (x, got, want)
-        assert abs(slope - want_slope) <= 1e-10 * max(1.0, abs(want_slope)), (x, slope, want_slope)
+        assert abs(got - want) <= 1e-12 * abs(want), (x, got, want)
+        assert abs(slope - want_slope) <= 1e-12 * max(1.0, abs(want_slope)), (x, slope, want_slope)
 
 
 def test_domega_nan_beyond_domain():
