@@ -6,26 +6,23 @@ variable) through a uniform random permutation to c*n check sockets
 by an independent uniform nonzero field multiplier.  Parallel edges are
 kept and their multipliers add in the field, which can cancel to zero.
 
-Sampling is deterministic given a seed: the generator is numpy PCG64
-keyed by SeedSequence(seed), trial t of a Monte Carlo run uses
-SeedSequence((master_seed, t)), permutations come from
-numpy.random.Generator.permutation (as a shuffle of arange(c*n), which
-draws the same) and multipliers from Generator.integers(1, q).
+Sampling is deterministic given a seed.  Codes are drawn in rows from one
+numpy Generator(PCG64(SeedSequence(seed))): one
+Generator.permuted call on a (rows, c*n) tile of arange(c*n) draws the
+rows' permutations in turn (as Generator.permutation(c*n) would, row after
+row), and for q > 2 one Generator.integers(1, q) call then draws their
+multipliers.  sample_code is the one-row draw of its seed.  A Monte Carlo
+run cuts its trials into draw blocks of _draw_size(params) trials, which
+follows only the code size: block b is drawn from SeedSequence((seed, b)),
+and the last block of a run holds the trials left.
 
-Monte Carlo trials run in blocks.  A block's seeds are hashed together
-on numpy arrays into the state words numpy's SeedSequence gives
-(_seeding; tests/test_sim.py checks the words against SeedSequence and
-the generators against PCG64(SeedSequence(...))), numpy seeds each
-trial's PCG64 from its words, and numpy's shuffle and integers draw.
-
-Codes travel as stacks: the draws of a block are stacked, and its
-matrices are assembled, reduced (linalg) and counted (kernels) by batched
-numpy calls on (batch, ...) arrays.  Aggregates are exact integer sums
-merged block by block, so reports are byte-identical for any worker count
-and block size.  The exhaustive average counts its distinct matrices in
-stacks of the same size.  A single code (sample_code, enumerate_weights)
-keys its PCG64 with numpy's SeedSequence itself and is a stack of one,
-indexed [0].
+Codes travel as stacks: a draw block is assembled, reduced (linalg) and
+counted (kernels) by batched numpy calls on (batch, ...) arrays, in
+compute blocks of _block_size(params) codes cut inside it.  Aggregates are
+exact integer sums merged block by block, so reports are byte-identical
+for any worker count and compute block size.  The exhaustive average
+counts its distinct matrices in stacks of the same size.  A single code
+(sample_code, enumerate_weights) is a stack of one, indexed [0].
 """
 
 from __future__ import annotations
@@ -56,6 +53,11 @@ DEFAULT_CONFIG_CAP = 10**8
 # memory follows neither the trial count nor, past small codes, the code size.
 _BLOCK = 1024
 _BLOCK_CELLS = 1 << 16
+# Monte Carlo trials drawn from one generator: at most _DRAW trials and
+# _DRAW_SOCKETS sockets.  Part of the output contract: changing either moves
+# every simulate result.
+_DRAW = 1024
+_DRAW_SOCKETS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -110,20 +112,21 @@ def assemble_parity(params: EnsembleParams, field: FieldSpec, permutation, multi
     return h.reshape(batch, m, n)
 
 
-def _draw(params: EnsembleParams, seed_seqs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Socket permutations and check-socket multipliers, (len(seed_seqs), c*n)
-    each, one code per seed sequence that keys its PCG64.
+def _draw(params: EnsembleParams, seed, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Socket permutations (int64) and check-socket multipliers (field
+    symbols) of rows codes, (rows, c*n) each, drawn from one PCG64 keyed by
+    SeedSequence(seed).
     """
     cn = params.num_sockets
-    perms = np.empty((len(seed_seqs), cn), np.int64)
-    perms[:] = np.arange(cn)
-    mults = np.ones((len(seed_seqs), cn), np.int64)
-    for i, seed_seq in enumerate(seed_seqs):
-        rng = np.random.Generator(np.random.PCG64(seed_seq))
-        # shuffling arange(cn) in place draws what rng.permutation(cn) draws
-        rng.shuffle(perms[i])
-        if params.q > 2:
-            mults[i] = rng.integers(1, params.q, size=cn, dtype=np.int64)
+    symbol = np.min_scalar_type(params.q - 1)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    perms = np.tile(np.arange(cn, dtype=np.int64), (rows, 1))
+    rng.permuted(perms, axis=1, out=perms)
+    if params.q > 2:
+        # drawn as int64, which fixes the stream
+        mults = rng.integers(1, params.q, size=(rows, cn), dtype=np.int64).astype(symbol)
+    else:
+        mults = np.ones((rows, cn), symbol)
     return perms, mults
 
 
@@ -137,12 +140,12 @@ def sample_code(params: EnsembleParams, seed, field: FieldSpec | None = None) ->
         field = build_field(params.q)
     if field.k > 1:
         require_tables(field, "sampling over an extension field requires")
-    perms, mults = _draw(params, [np.random.SeedSequence(seed)])
+    perms, mults = _draw(params, seed, 1)
     return CodeSample(
         params=params,
         seed=seed,
         permutation=perms[0],
-        multipliers=mults[0].astype(np.min_scalar_type(params.q - 1)),
+        multipliers=mults[0],
         parity_matrix=assemble_parity(params, field, perms, mults)[0],
     )
 
@@ -150,6 +153,11 @@ def sample_code(params: EnsembleParams, seed, field: FieldSpec | None = None) ->
 def _block_size(params: EnsembleParams) -> int:
     """Codes per batched step for this ensemble."""
     return max(1, min(_BLOCK, _BLOCK_CELLS // (params.num_checks * params.n)))
+
+
+def _draw_size(params: EnsembleParams) -> int:
+    """Monte Carlo trials per draw block for this ensemble."""
+    return max(1, min(_DRAW, _DRAW_SOCKETS // params.num_sockets))
 
 
 def _count_stack(field: FieldSpec, parity: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -344,18 +352,21 @@ def monte_carlo(
 ) -> SimReport:
     """Estimate the average weight distribution and small-distance mass.
 
-    Trial t is seeded with (seed, t), so the full report is a pure function
-    of (params, trials, seed, l0, alpha, filter_on): worker count affects
-    wall time only, never a byte of the result.
+    Trials are drawn in draw blocks of _draw_size(params) trials, which
+    follows only the code size: block b holds trials b*size onwards, the
+    last block of the run holds the trials left, and its codes are drawn
+    from SeedSequence((seed, b)).  So the full report is a pure function of
+    (params, trials, seed, l0, alpha, filter_on): worker count affects wall
+    time only, never a byte of the result.
 
-    Trials run in blocks of _block_size(params) codes, each block drawn,
-    assembled, reduced and counted by batched numpy calls, so memory does
-    not grow with the trial count.  The blocks are cut into at most
+    A draw block is assembled, reduced and counted by batched numpy calls
+    in compute blocks of _block_size(params) codes, so memory does not grow
+    with the trial count.  The draw blocks are cut into at most
     min(workers, trials, os.cpu_count()) contiguous runs, the size of the
     thread pool and report.workers; the calling thread takes the first run,
-    so a single block uses no extra thread.  A code over enum_cap is
-    refused before its block is counted; with one worker the refusal names
-    the first such trial.
+    so a single draw block uses no extra thread.  A code over enum_cap is
+    refused before its compute block is counted; with one worker the
+    refusal names the first such trial.
     """
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
@@ -373,25 +384,28 @@ def monte_carlo(
     require_tables(field, "Monte Carlo enumeration requires")
     n = params.n
     dmax = math.floor(n * alpha)
-    block_size = _block_size(params)
+    draw_size, block_size = _draw_size(params), _block_size(params)
     master = operator.index(seed)
-    from ._seeding import StateWords, trial_states  # loads numpy.random
 
     def run_range(trial_range: range) -> tuple[_Tally, _Tally]:
         overall = _Tally(n, l0, dmax)
         filtered = _Tally(n, max(l0, 2), dmax)
-        for start in range(trial_range.start, trial_range.stop, block_size):
-            block = range(start, min(start + block_size, trial_range.stop))
-            seed_seqs = [StateWords(words) for words in trial_states(master, block)]
-            parity = assemble_parity(params, field, *_draw(params, seed_seqs))
-            counts, _ = _count_stack(field, parity, enum_cap)
-            overall.add(counts)
-            if filter_on:
-                filtered.add(counts[~has_zero_column(parity)])
+        for start in range(trial_range.start, trial_range.stop, draw_size):
+            rows = min(draw_size, trial_range.stop - start)
+            perms, mults = _draw(params, (master, start // draw_size), rows)
+            # kept while the draw block is counted, so in the smallest dtype that fits
+            perms = perms.astype(np.min_scalar_type(params.num_sockets - 1))
+            for at in range(0, rows, block_size):
+                part = slice(at, at + block_size)
+                parity = assemble_parity(params, field, perms[part], mults[part])
+                counts, _ = _count_stack(field, parity, enum_cap)
+                overall.add(counts)
+                if filter_on:
+                    filtered.add(counts[~has_zero_column(parity)])
         return overall, filtered
 
-    # at most nworkers runs of whole blocks; the calling thread takes the first
-    starts = range(0, trials, block_size)
+    # at most nworkers runs of whole draw blocks; the calling thread takes the first
+    starts = range(0, trials, draw_size)
     runs = min(nworkers, len(starts))
     cuts = [starts[len(starts) * w // runs] for w in range(runs)] + [trials]
     ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]

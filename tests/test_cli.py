@@ -567,7 +567,9 @@ def test_oversized_grids_exit_3_without_output(tmp_path, capsys):
 
 
 # (length, sha256) of stdout, recorded from the command line before its
-# render path was unified; exact outputs are a byte-level contract.
+# render path was unified (the simulate entries since Monte Carlo draws a
+# block of trials from one generator); exact outputs are a byte-level
+# contract.
 RECORDED_DOCUMENTS = {
     "spectrum --q 2 --c 3 --d 6 --n 60":
         (9118, "7af9688315d11906c9402cd28625cb9cbfe6d869c5189815e886083712178cf1"),
@@ -590,9 +592,9 @@ RECORDED_DOCUMENTS = {
     "small-weight --q 2 --c 3 --d 6 --l 3 --n-list 24,48,96 --format csv":
         (64, "4534b5480e8137cd8a31234fa9cc7655f66d6674eb9f043f501f8b4839abc6ac"),
     "simulate --q 2 --c 3 --d 6 --n 12 --trials 50 --seed 9":
-        (2138, "a642e0d7aa94814a543c64bffafd7fd84bf0bf32ff6968d8d49d82a01d56175b"),
+        (2130, "44f3f5f14091bfa6c9e8105b250f2664b8e346a295fbefd2732e547e3254f8c2"),
     "simulate --q 2 --c 3 --d 6 --n 12 --trials 50 --seed 9 --format csv":
-        (231, "0d722d296f13c343f7c1457aaaef1c6613bc071a7878d65d6683d55e7a2f2fde"),
+        (227, "8f66876f385f46cab97cca433f30bec8107c31be5c377967309f3d382b79198f"),
 }
 
 RECORDED_ERRORS = {

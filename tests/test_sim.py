@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -21,8 +22,7 @@ from ldpc_spectra import (
     monte_carlo,
     sample_code,
 )
-from ldpc_spectra import _seeding, sim
-from ldpc_spectra._seeding import StateWords
+from ldpc_spectra import sim
 from ldpc_spectra.cli import _report_data
 from ldpc_spectra.kernels import count_weights
 from ldpc_spectra.linalg import kernel_basis
@@ -92,89 +92,46 @@ def test_sample_code_varies_with_seed():
     assert len(perms) > 1
 
 
-def seed_sequence_state(seed):
-    """generate_state(4, np.uint64) of numpy's SeedSequence, as Python ints."""
-    return np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+# sha256 of the int64 permutation and multiplier bytes of sample_code,
+# recorded before Monte Carlo drew its trials in blocks: the block draw it
+# shares keeps single codes, and the enumerate benchmark's 4-tuple seeds,
+# where they were; int and tuple seeds, even and odd socket counts
+SAMPLE_CODE_PINS = {
+    (2, 3, 6, 12, 7): "4d2ecc1ecae4a9fd406a621a17c4ff145a100465fd519f9a57688f336c001753",
+    (2, 3, 6, 12, (1, 4, 16, 0)): "5e703f0a625e58f043ae3c4c4a34f305a721c99ddc98365001925964a07764bd",
+    (3, 1, 3, 3, 7): "51dc5ebbc4f925d50a9a75c1348e688d6390d0f513d309991523557fa78955c0",
+    (3, 1, 3, 3, (1, 4, 16, 0)): "6119bc8f78ea22296ceee6537767f802665d454f231c8d2feb1e7d9825bf9f53",
+    (4, 3, 5, 5, 7): "3d71e5df91440dc0e70319774daf89bace435bc68b4495e24f3e869f2fab6c45",
+    (4, 3, 5, 5, (1, 4, 16, 0)): "fa3c38e57d89c0cca809ce6ccb43d8bb50bf24e86e5a496476b8871af66f887b",
+    (8, 2, 4, 8, 7): "c9b4f71e2b06c7c2120f463b57f93eefdb3a5812a0f2db104cd600626e32dc23",
+    (8, 2, 4, 8, (1, 4, 16, 0)): "ef881b94f64d4993b42b39e43297cbe78e4cb288e62fb8c73f0b1d3d7e2f3fba",
+}
 
 
-def entropy_words(seed):
-    parts = seed if isinstance(seed, tuple) else (seed,)
-    return [w for part in parts for w in _seeding.int_words(part)]
-
-
-# one-word and multi-word ints, word boundaries, the enumerate 4-tuples, and
-# seeds of five or more words (past SeedSequence's pool of four)
-SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, (77, 0), (3, 2**32 - 1), (5, 2, 36, 0),
-         (2**31 - 1, 8, 24, 999), 2**130 + 3, (2**96 + 1, 2**32 + 7), (1, 2, 3, 4, 5, 6))
-
-
-def test_seed_hash_equals_seed_sequence():
-    for seed in SEEDS:
-        words = _seeding.seed_state(entropy_words(seed))
-        assert words == seed_sequence_state(seed), seed
-        halves = [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)]
-        assert halves == np.random.SeedSequence(seed).generate_state(8, np.uint32).tolist()
-        # the same hash on arrays: every element hashes as its own seed
-        columns = [np.full(3, w, np.uint64) for w in entropy_words(seed)]
-        assert [col.tolist() for col in _seeding.seed_state(columns)] == \
-            [[w] * 3 for w in words], seed
-        seeded = np.random.PCG64(StateWords(np.array(words, np.uint64)))
-        assert seeded.state == np.random.PCG64(np.random.SeedSequence(seed)).state, seed
-
-
-def test_trial_states_equal_seed_sequence():
-    for seed in (0, 7, 2**32 - 1, 2**64 + 5, 2**130 + 3):
-        for trials in (range(0, 5), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 1)):
-            got = _seeding.trial_states(seed, trials)
-            assert got.dtype == np.uint64 and got.flags.c_contiguous
-            assert got.tolist() == [seed_sequence_state((seed, t)) for t in trials], \
-                (seed, trials)
+def test_sample_code_pinned():
+    for (q, c, d, n, seed), digest in SAMPLE_CODE_PINS.items():
+        sample = sample_code(EnsembleParams(q=q, c=c, d=d, n=n), seed)
+        drawn = (np.ascontiguousarray(sample.permutation, "<i8").tobytes()
+                 + np.ascontiguousarray(sample.multipliers, "<i8").tobytes())
+        assert hashlib.sha256(drawn).hexdigest() == digest, (q, c, d, n, seed)
 
 
 def test_block_draws_equal_single_draws():
-    for q, c, d, n in ((2, 3, 6, 12), (4, 2, 4, 6), (5, 3, 6, 8)):
+    for q, c, d, n in ((2, 3, 6, 12), (4, 2, 4, 6), (5, 3, 6, 8), (4, 3, 5, 5)):
         params = EnsembleParams(q=q, c=c, d=d, n=n)
         field = build_field(q)
-        seed_seqs = [StateWords(words) for words in _seeding.trial_states(9, range(40, 70))]
-        perms, mults = sim._draw(params, seed_seqs)
-        for row, t in enumerate(range(40, 70)):
-            sample = sample_code(params, (9, t), field=field)
-            oracle_perm, oracle_mult = oracle_draw(params, (9, t))
-            assert perms[row].tolist() == sample.permutation.tolist() == oracle_perm.tolist()
-            assert mults[row].tolist() == sample.multipliers.tolist() == oracle_mult.tolist()
-
-
-def test_monte_carlo_makes_no_seed_sequence(monkeypatch):
-    params = EnsembleParams(q=4, c=2, d=4, n=6)
-    want = _report_data(monte_carlo(params, trials=300, seed=2**40 + 3, workers=2))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("SeedSequence built")
-
-    # every PCG64 is keyed by precomputed state words, so numpy builds no
-    # SeedSequence inside PCG64 either
-    seen = []
-    pcg64 = np.random.PCG64
-
-    def recording_pcg64(seed_seq):
-        seen.append(type(seed_seq))
-        return pcg64(seed_seq)
-
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
-    monkeypatch.setattr(np.random, "PCG64", recording_pcg64)
-    assert _report_data(monte_carlo(params, trials=300, seed=2**40 + 3, workers=2)) == want
-    assert len(seen) == 300 and set(seen) == {StateWords}
-
-
-def test_state_words_answer_only_pcg64():
-    words = _seeding.trial_states(3, range(2))
-    with pytest.raises(ValueError, match="four state words"):
-        StateWords(words)
-    seq = StateWords(words[1])
-    assert seq.generate_state(4, np.uint64) is seq.words
-    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
-        with pytest.raises(ValueError, match="state words are four uint64"):
-            seq.generate_state(n_words, dtype)
+        for seed in (9, (9, 3), (1, 4, 16, 0)):
+            # a one-row block is the code sample_code draws
+            (perm,), (mult,) = sim._draw(params, seed, 1)
+            sample = sample_code(params, seed, field=field)
+            [(oracle_perm, oracle_mult)] = oracle_block(params, seed, 1)
+            assert perm.tolist() == sample.permutation.tolist() == oracle_perm.tolist()
+            assert mult.tolist() == sample.multipliers.tolist() == oracle_mult.tolist()
+        # a block of 30 rows: permutations in turn, then the multipliers
+        perms, mults = sim._draw(params, (9, 2), 30)
+        for row, (oracle_perm, oracle_mult) in enumerate(oracle_block(params, (9, 2), 30)):
+            assert perms[row].tolist() == oracle_perm.tolist()
+            assert mults[row].tolist() == oracle_mult.tolist()
 
 
 def test_sample_code_seed_errors_are_numpys():
@@ -263,7 +220,7 @@ def test_monte_carlo_deterministic_ensemble():
 
 
 def test_monte_carlo_matches_single_sample():
-    # per-trial stream is seeded by (master seed, trial index)
+    # a one-trial run is the one-row draw of its block's seed (master seed, 0)
     params = EnsembleParams(q=3, c=2, d=3, n=6)
     field = build_field(3)
     report = monte_carlo(params, trials=1, seed=77)
@@ -435,20 +392,39 @@ def test_monte_carlo_thread_pool_capped(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The former per-trial Monte Carlo pipeline, kept as the oracle of the
-# batched one: one code at a time, drawn and wired independently of sim,
-# reduced and counted as a single matrix, aggregated in Python integers.
+# A per-trial Monte Carlo pipeline, the oracle of the batched one: each
+# draw block drawn by plain sequential permutation and integers calls, one
+# code at a time wired independently of sim, reduced and counted as a
+# single matrix, aggregated in Python integers.
 # ---------------------------------------------------------------------------
 
 
-def oracle_draw(params, seed):
+def draw_size(params):
+    # trials per draw block: 1024, fewer past 2**18 sockets
+    return max(1, min(1024, 2**18 // params.num_sockets))
+
+
+def oracle_block(params, seed, rows):
+    """The (permutation, multipliers) of the rows codes of one draw block:
+    rows permutations drawn one after another, then rows multiplier vectors.
+    """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    perm = rng.permutation(params.num_sockets)
+    perms = [rng.permutation(params.num_sockets) for _ in range(rows)]
     if params.q > 2:
-        mult = rng.integers(1, params.q, size=params.num_sockets, dtype=np.int64)
+        mults = [rng.integers(1, params.q, size=params.num_sockets, dtype=np.int64)
+                 for _ in range(rows)]
     else:
-        mult = np.ones(params.num_sockets, np.int64)
-    return perm, mult
+        mults = [np.ones(params.num_sockets, np.int64)] * rows
+    return list(zip(perms, mults))
+
+
+def oracle_draws(params, trials, seed):
+    """Trial t is row t mod B of draw block t // B, keyed by (seed, t // B);
+    the last block holds the trials left.
+    """
+    size = draw_size(params)
+    return [draw for block, start in enumerate(range(0, trials, size))
+            for draw in oracle_block(params, (seed, block), min(size, trials - start))]
 
 
 def oracle_aggregate(n, rows, l0, dmax):
@@ -481,8 +457,8 @@ def oracle_trials(params, trials, seed):
     """(counts, dmin, dimension, has_zero_column) of each trial, in order."""
     field = build_field(params.q)
     out = []
-    for t in range(trials):
-        h = np.array(rebuild_parity(params, field, *oracle_draw(params, (seed, t))), np.uint8)
+    for perm, mult in oracle_draws(params, trials, seed):
+        h = np.array(rebuild_parity(params, field, perm, mult), np.uint8)
         bases, dims = kernel_basis(field, h[None])
         counts = tuple(int(v) for v in count_weights(
             bases, params.q, field.add_table, field.mul_table)[0])
@@ -523,6 +499,36 @@ def test_batched_monte_carlo_matches_per_trial_oracle(monkeypatch):
     assert seen_zero_column and seen_rank_deficient
 
 
+def test_blocks_and_workers_change_no_byte(monkeypatch):
+    # two full draw blocks and five trials of a third; three CPUs, so that
+    # three workers take one draw block each
+    params = EnsembleParams(q=3, c=2, d=4, n=4)
+    trials = 2 * draw_size(params) + 5
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+    want, _ = oracle_report(params, trials, 5, 1, 0.5, True)
+    reports = [monte_carlo(params, trials, seed=5, workers=w) for w in (1, 2, 3)]
+    assert [r.workers for r in reports] == [1, 2, 3]
+    for report in reports:
+        assert json.dumps(_report_data(report), sort_keys=True) == want
+    # compute blocks cut inside the draw blocks move no byte either
+    for block, cells in ((7, sim._BLOCK_CELLS), (sim._BLOCK, 40)):
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
+        assert sim._block_size(params) in (7, 5)
+        for w in (1, 3):
+            report = monte_carlo(params, trials, seed=5, workers=w)
+            assert json.dumps(_report_data(report), sort_keys=True) == want
+
+
+def test_draw_size_follows_code_size():
+    for q, c, d, n in ((2, 3, 6, 12), (2, 1, 3, 3), (4, 6, 12, 40), (2, 8, 16, 4096),
+                       (2, 2, 4, 2**17), (2, 4, 4, 2**17)):
+        params = EnsembleParams(q=q, c=c, d=d, n=n)
+        assert sim._draw_size(params) == draw_size(params), (q, c, d, n)
+    assert draw_size(EnsembleParams(q=2, c=8, d=16, n=4096)) == 8
+    assert draw_size(EnsembleParams(q=2, c=4, d=4, n=2**17)) == 1
+
+
 def test_block_size_follows_code_size():
     small = EnsembleParams(q=2, c=3, d=6, n=12)
     large = EnsembleParams(q=2, c=5, d=6, n=120)
@@ -561,7 +567,7 @@ def test_tally_sums_stay_exact_past_int64():
 def test_monte_carlo_capacity_refused_before_counting(monkeypatch):
     # (2,3,6,12) codes have dim 6 at full rank; a few draws lose rank
     params = EnsembleParams(q=2, c=3, d=6, n=12)
-    rows = oracle_trials(params, 40, 1)
+    rows = oracle_trials(params, 120, 1)
     first = next(t for t, (_, _, dim, _) in enumerate(rows) if dim > 6)
     assert first > 0
     calls = []
@@ -572,7 +578,7 @@ def test_monte_carlo_capacity_refused_before_counting(monkeypatch):
 
     monkeypatch.setattr(sim.kernels, "count_weights", counted)
     with pytest.raises(CapacityError) as refused:
-        monte_carlo(params, trials=40, seed=1, workers=1, enum_cap=2**6)
+        monte_carlo(params, trials=120, seed=1, workers=1, enum_cap=2**6)
     dim = rows[first][2]
     assert str(refused.value) == (
         f"q**dim = 2**{dim} = {2**dim} codewords exceeds the cap {2**6}")
