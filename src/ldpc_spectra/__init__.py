@@ -10,7 +10,7 @@ from .bounds import (
     zero_column_filtered_bound,
 )
 from .errors import CapacityError, DomainError, ParameterError
-from .gf import FieldSpec, build_field, field_arith
+from .gf import FieldSpec, build_field
 from .growth import (
     DeltaEval,
     GrowthPoint,
@@ -28,11 +28,8 @@ from .growth import (
     omega_curve,
     omega_family,
     rho,
-    solve_zhat1,
     x1_right_endpoint,
     xi,
-    xi_coefficients,
-    z_left_endpoint,
     zeta,
 )
 from .sim import (

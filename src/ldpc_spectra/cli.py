@@ -220,8 +220,8 @@ def _cmd_landmarks(args):
         residuals["omega_at_x0"] = abs(float(om[0]))
         residuals["domega_at_x3"] = abs(float(dom[1]))
     if marks.zhat2 is not None:
-        residuals["xi_at_zhat2"] = abs(growth.xi(args.q, args.c, args.d, marks.zhat2))
-    return None, None, _fields(marks, "q", "c", "d") | {"residuals": residuals}
+        residuals["xi_at_zhat2"] = abs(growth.xi(args.q, args.c, args.d, marks.s2))
+    return None, None, _fields(marks, "q", "c", "d", "s2") | {"residuals": residuals}
 
 
 def _cmd_simulate(args):

@@ -330,34 +330,3 @@ def build_field(q: int) -> FieldSpec:
     if q <= TABLE_LIMIT:
         spec = _build_tables(spec)
     return spec
-
-
-_OPS = ("add", "sub", "mul", "inv", "neg")
-
-
-def field_arith(spec: FieldSpec, op: str, a: int, b: int | None = None) -> int:
-    """Apply a named field operation to canonical elements.
-
-    Parameters
-    ----------
-    spec : FieldSpec
-        Field returned by :func:`build_field`.
-    op : str
-        One of 'add', 'sub', 'mul' (binary), 'inv', 'neg' (unary).
-    a, b : int
-        Operands in [0, q); b must be omitted for unary ops.
-
-    Returns
-    -------
-    int
-        Canonical result in [0, q).
-    """
-    if op not in _OPS:
-        raise ParameterError(f"unknown field operation {op!r}")
-    if op in ("add", "sub", "mul"):
-        if b is None:
-            raise ParameterError(f"operation {op!r} needs two operands")
-        return getattr(spec, op)(a, b)
-    if b is not None:
-        raise ParameterError(f"operation {op!r} takes a single operand")
-    return getattr(spec, op)(a)

@@ -19,15 +19,16 @@ s = 1 - zhat, which solves
     t = 1 - s,  S = sum_{k<d-1} t**k,
 
 with no digit of x lost, so omega is resolved down to x = 1e-300 and only
-x = 0 itself takes its limit values.  gap_map is the left side as a map of
-s, and solve_gap_batch inverts it, x -> gap, by a batched bracketed Newton
+x = 0 itself takes its limit values.  The gap is the only coordinate in
+which anything is solved.  gap_map is the left side as a map of s, and
+solve_gap_batch inverts it, x -> gap, by a batched bracketed Newton
 iteration for the curves, one solve for every c since the gap depends on
 q, d and x alone; the landmarks are single roots in the gap, whose weight
-x(s) = (q-1)(1 - zeta(1 - s))/q, omega and slope are closed forms in s
-(Burshtein & Miller 2004; Di, Richardson & Urbanke 2006).  Extended reals
-are first class: delta and omega are -inf on the unreachable weight range
-of q = 2 with odd d, and one-sided endpoint slopes are +/-inf where they
-diverge.
+x(s) = (q-1)(1 - zeta(1 - s))/q, omega, slope and curvature sign xi are
+closed forms in s (Burshtein & Miller 2004; Di, Richardson & Urbanke 2006).
+Extended reals are first class: delta and omega are -inf on the
+unreachable weight range of q = 2 with odd d, and one-sided endpoint
+slopes are +/-inf where they diverge.
 
 All logs are natural; x is the normalized weight in [0, 1].
 """
@@ -245,15 +246,6 @@ def zeta(q: int, d: int, zhat: float) -> float:
     return float(1.0 - gap_map(q, d, s, s < 1.0 / d))
 
 
-def z_left_endpoint(q: int, d: int) -> float:
-    """Smallest reachable value of zeta: 2/d - 1 for q = 2 with odd d, else -1/(q-1)."""
-    check_order(q)
-    _check_d(d, 2)
-    if q == 2 and d % 2 == 1:
-        return 2.0 / d - 1.0
-    return -1.0 / (q - 1.0)
-
-
 def x1_right_endpoint(q: int, d: int) -> float:
     """Right edge of the reachable weight range: 1 - 1/d for q = 2 with odd d, else 1."""
     check_order(q)
@@ -261,27 +253,6 @@ def x1_right_endpoint(q: int, d: int) -> float:
     if q == 2 and d % 2 == 1:
         return 1.0 - 1.0 / d
     return 1.0
-
-
-def solve_zhat1(q: int, d: int, z: float) -> float:
-    """Invert zeta: the unique tilt zhat1 in [-1/(q-1), 1] with zeta(zhat1) = z.
-
-    Raises DomainError when z lies below the left endpoint of zeta's range
-    (no tilt reaches it).  An interior root is 1 - s for the gap s solved
-    from 1 - z.
-    """
-    check_order(q)
-    _check_d(d)
-    z1 = z_left_endpoint(q, d)
-    if z > 1.0 + 1e-12 or z < z1 - 1e-12:
-        raise DomainError(f"no tilt solves zeta = {z}; range is [{z1}, 1]")
-    if z >= 1.0:
-        return 1.0
-    if z == 0.0:
-        return 0.0
-    if z <= z1:
-        return -1.0 / (q - 1.0)
-    return 1.0 - float(solve_gap_batch(q, d, np.array([1.0 - z]))[0])
 
 
 def delta_two_arg(q: int, d: int, x: float, xhat: float) -> float:
@@ -341,6 +312,13 @@ def _excess_coefficients(q: int, d: int) -> list[float]:
         coef.append((-1) ** k * ratio * -a * math.expm1((k - 1) * math.log1p(-1.0 / q)))
         ratio *= (d - k) / ((k + 1.0) * d)
     return coef
+
+
+def _horner(coef: list[float], u):
+    out = 0.0
+    for a in reversed(coef):
+        out = out * u + a
+    return out
 
 
 def _gain(q: int, d: int, x, s, near: bool, coef: list[float]):
@@ -590,44 +568,35 @@ def delta_curve(q: int, d: int, xs):
 
 
 # ---------------------------------------------------------------------------
-# Curvature polynomial and landmarks
+# Curvature sign function and landmarks
 # ---------------------------------------------------------------------------
 
 
-def xi_coefficients(q: int, c: int, d: int) -> list[int]:
-    """Integer coefficients (degree 0 upward) of the curvature sign polynomial.
+def xi(q: int, c: int, d: int, s: float) -> float:
+    """Curvature sign function at the tilt gap s = 1 - t.
 
-    xi(t) = sum_{i=0}^{d-3} t**i - [(c-1)(d-1) - 1] (t**(d-2) + (q-1) t**(d-1))
-          + (q-1) sum_{i=d}^{2d-3} t**i.
+    xi = (1 - t**(d-2)) (1 + (q-1) t**d) / s - k t**(d-2) (1 + (q-1) t),
+    k = (c-1)(d-1) - 1, closes the geometric sums of the integer polynomial
 
-    The sign of the second derivative of omega at x is the opposite of the
-    sign of xi at the stationary tilt zhat1(x): the tilt decreases in x and
-    the remaining factors are positive.  xi(0) = 1, xi(1) = -q(c-2)(d-1).
+        sum_{i=0}^{d-3} t**i - k (t**(d-2) + (q-1) t**(d-1))
+          + (q-1) sum_{i=d}^{2d-3} t**i
+
+    of degree 2d - 3.  The powers come from tilt_powers, through log1p of
+    s itself for s < 1, so a root near t = 1 keeps its digits.  The sign of
+    the second derivative of omega at x is the opposite of the sign of xi at
+    the stationary gap s(x): the gap increases in x and the remaining
+    factors are positive.  xi(1) = 1, and xi(0) is the limit
+    -q(c-2)(d-1).
     """
     check_order(q)
     _check_c(c)
     _check_d(d)
+    if s == 0.0:
+        return float(-q * (c - 2) * (d - 1))
+    p, m, _ = tilt_powers(q, d - 1, s, s < 1.0)
+    t = 1.0 - s
     k = (c - 1) * (d - 1) - 1
-    coef = [0] * (2 * d - 2)
-    for i in range(d - 2):
-        coef[i] = 1
-    coef[d - 2] = -k
-    coef[d - 1] = -(q - 1) * k
-    for i in range(d, 2 * d - 2):
-        coef[i] = q - 1
-    return coef
-
-
-def xi(q: int, c: int, d: int, zhat: float) -> float:
-    """Evaluate the curvature sign polynomial at a tilt value."""
-    return _horner(xi_coefficients(q, c, d), zhat)
-
-
-def _horner(coef: list[int], t: float) -> float:
-    out = 0.0
-    for a in reversed(coef):
-        out = out * t + a
-    return out
+    return float(m * (1.0 + (q - 1.0) * (p * t * t)) / s - k * p * (1.0 + (q - 1.0) * t))
 
 
 @dataclass(frozen=True)
@@ -637,11 +606,12 @@ class Landmarks:
     x1 is the right edge of the reachable range.  For c >= 3: x3 is the
     unique stationary weight of omega in (0, 1 - 1/q), x0 the zero of omega
     in (x3, 1 - 1/q] (the normalized typical minimum distance), and x2 the
-    inflection weight where convexity flips, located through the positive
-    root zhat2 of the curvature polynomial.  zhat2_neg is the extra
-    negative root present for q = 2 with even d (curvature flip mirrored
-    beyond 1 - 1/q).  Fields are None in regimes where the landmark does
-    not exist (c <= 2 concave cases and the c = d boundary is x0 = 1-1/q).
+    inflection weight where convexity flips, at the root s2 in [0, 1) of the
+    curvature sign function xi in the gap, zhat2 = 1 - s2 in the tilt.
+    zhat2_neg = -zhat2 is the tilt of the extra root of xi at s in (1, 2),
+    present for q = 2 with even d (curvature flip mirrored beyond 1 - 1/q).
+    Fields are None in regimes where the landmark does not exist (c <= 2
+    concave cases and the c = d boundary is x0 = 1-1/q).
     """
 
     q: int
@@ -653,6 +623,7 @@ class Landmarks:
     x3: float | None
     zhat2: float | None
     zhat2_neg: float | None
+    s2: float | None
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -683,8 +654,8 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
 
     Each landmark is one bisection root, run to the floating point floor
     on Python floats, with weight x(s) = (q-1)(1 - zeta(1 - s))/q rising
-    from 0 to 1 - 1/q over the gap s in [0, 1]: zhat2 is a root of xi in the
-    tilt, s3 of omega'(s) on (0, 1), and s0 of omega(s) on (s3, 1).
+    from 0 to 1 - 1/q over the gap s in [0, 1]: s2 is a root of xi(s) on
+    (0, 1), s3 of omega'(s) on (0, 1), and s0 of omega(s) on (s3, 1).
     """
     check_order(q)
     _check_c(c)
@@ -698,24 +669,26 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
     x3 = None
     x0 = None
 
-    coef = xi_coefficients(q, c, d)
-    poly = lambda t: _horner(coef, t)
+    curvature = lambda s: xi(q, c, d, s)
     weight = lambda s: float((q - 1.0) / q * gap_map(q, d, s, s < 1.0 / d))
-    wants_x2 = c >= 3 or (c == 2 and q >= 3)
-    if wants_x2:
-        if c >= 3:
-            zhat2 = _bisect(poly, 1e-12, 1.0 - 1e-12)
+    s2 = None
+    if c >= 3:
+        # xi(s -> 0) = -q(c-2)(d-1) < 0 and xi(1) = 1
+        s2 = _bisect(curvature, 1e-300, 1.0)
+    elif c == 2 and q >= 3:
+        lo, hi = 1e-6, 1.0 - 1e-12
+        if (curvature(lo) < 0.0) != (curvature(hi) < 0.0):
+            s2 = _bisect(curvature, lo, hi)
         else:
-            lo, hi = 1e-12, 1.0 - 1e-6
-            if (poly(lo) < 0.0) != (poly(hi) < 0.0):
-                zhat2 = _bisect(poly, lo, hi)
-            else:
-                # xi(1) = 0 exactly when c = 2: the flip degenerates to the edge.
-                zhat2 = 1.0
-        x2 = weight(1.0 - zhat2)
+            # xi(s -> 0) = 0 when c = 2: the flip degenerates to the edge.
+            s2 = 0.0
+    if s2 is not None:
+        zhat2 = 1.0 - s2
+        x2 = weight(s2)
 
     if q == 2 and d % 2 == 0 and c >= 3:
-        zhat2_neg = _bisect(poly, -1.0 + 1e-12, -1e-12)
+        # xi(-t) (1 + t) = xi(t) (1 - t) when q = 2 and d is even
+        zhat2_neg = -zhat2
 
     if c >= 3:
         # omega'(s) -> -inf as s -> 0, > 0 on (s3, 1), and 0 at the peak s = 1.
@@ -734,7 +707,7 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
             x0 = weight(_bisect(omega_at, s3, 1.0))
 
     return Landmarks(
-        q=q, c=c, d=d, x1=x1, x0=x0, x2=x2, x3=x3, zhat2=zhat2, zhat2_neg=zhat2_neg
+        q=q, c=c, d=d, x1=x1, x0=x0, x2=x2, x3=x3, zhat2=zhat2, zhat2_neg=zhat2_neg, s2=s2
     )
 
 
@@ -774,10 +747,7 @@ __all__ = [
     "omega_curve",
     "omega_family",
     "rho",
-    "solve_zhat1",
     "x1_right_endpoint",
     "xi",
-    "xi_coefficients",
-    "z_left_endpoint",
     "zeta",
 ]

@@ -96,7 +96,7 @@ def test_c06_landmark_residuals_and_shape():
         lm = ls.landmarks(q, c, d)
         ok &= abs(ls.omega(q, c, d, lm.x0).omega) < 1e-10
         ok &= abs(ls.domega(q, c, d, lm.x3)) < 1e-10
-        ok &= abs(ls.xi(q, c, d, lm.zhat2)) < 1e-10
+        ok &= abs(ls.xi(q, c, d, lm.s2)) < 1e-10
         peak = 1 - 1 / q
         below = np.linspace(lm.x0 / 1000, lm.x0 * (1 - 1e-9), 1000)
         om, _ = ls.omega_curve(q, c, d, below)

@@ -129,8 +129,9 @@ def test_landmarks_slope_residual_large_d(capsys):
     # the slope is steep in the tilt at large d: a tilt solved to an
     # absolute width of 1e-12 left 4.8e-10 at d = 48.  From d = 500 on x3,
     # and from d = 1000 on x0, lie below 1e-8, where omega used to be taken
-    # at x = 0
-    for d in (48, 500, 1000, 2000):
+    # at x = 0.  At d = 3000 and 4000 a float tilt near 1 cannot resolve the
+    # root of xi (it left 2.4e-10 and 3.3e-10); its gap s2 can
+    for d in (48, 500, 1000, 2000, 3000, 4000):
         code, out, _ = invoke(capsys, "landmarks", "--q", "2", "--c", "3", "--d", str(d))
         assert code == 0
         data = json.loads(out)["data"]

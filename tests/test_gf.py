@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from ldpc_spectra import DomainError, ParameterError, build_field, field_arith
+from ldpc_spectra import DomainError, ParameterError, build_field
 from ldpc_spectra.gf import ORDER_LIMIT, TABLE_LIMIT, check_order
 
 TABLED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -192,8 +192,6 @@ def test_inv_zero_rejected():
     f = build_field(7)
     with pytest.raises(DomainError):
         f.inv(0)
-    with pytest.raises(DomainError):
-        field_arith(f, "inv", 0)
 
 
 def test_element_range_checked():
@@ -234,25 +232,6 @@ def test_untabled_extension_field():
                 assert f.add(a, b) == f.add(b, a)
                 assert f.mul(a, b) == f.mul(b, a)
                 assert f.mul(a, f.add(b, 1)) == f.add(f.mul(a, b), a)
-
-
-def test_field_arith_dispatch():
-    f = build_field(4)
-    assert field_arith(f, "add", 2, 3) == 1
-    assert field_arith(f, "sub", 2, 3) == f.add(2, f.neg(3))
-    assert field_arith(f, "mul", 2, 2) == 3
-    assert field_arith(f, "neg", 3) == 3   # characteristic 2
-    assert field_arith(f, "inv", 2) == 3
-
-
-def test_field_arith_bad_usage():
-    f = build_field(4)
-    with pytest.raises(ParameterError):
-        field_arith(f, "pow", 2, 2)
-    with pytest.raises(ParameterError):
-        field_arith(f, "add", 2)          # missing operand
-    with pytest.raises(ParameterError):
-        field_arith(f, "neg", 2, 1)       # extra operand
 
 
 def test_invalid_orders_rejected():

@@ -24,11 +24,8 @@ from ldpc_spectra import (
     omega,
     omega_curve,
     rho,
-    solve_zhat1,
     x1_right_endpoint,
     xi,
-    xi_coefficients,
-    z_left_endpoint,
     zeta,
 )
 from ldpc_spectra.cli import figure_data
@@ -93,8 +90,6 @@ def test_zeta_left_endpoint_values():
     assert zeta(2, 7, -1.0) == pytest.approx(2 / 7 - 1, abs=1e-15)
     # even d: plain evaluation at -1
     assert zeta(2, 6, -1.0) == pytest.approx(-1.0, abs=1e-15)
-    assert z_left_endpoint(2, 5) == pytest.approx(-3 / 5, abs=1e-15)
-    assert z_left_endpoint(3, 6) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_zeta_strictly_increasing():
@@ -128,29 +123,11 @@ def test_zeta_domain_checked():
         zeta(2, 4, 1.01)
 
 
-def test_solve_zhat1_endpoints_and_monotonicity():
-    for q, d in FIG_PAIRS:
-        assert solve_zhat1(q, d, 0.0) == 0.0
-        assert solve_zhat1(q, d, 1.0) == 1.0
-        z1 = z_left_endpoint(q, d)
-        zs = np.linspace(z1, 1.0, 400)
-        vals = [solve_zhat1(q, d, float(z)) for z in zs]
-        assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-        for z, zh in zip(zs[1:-1], vals[1:-1]):
-            assert abs(zeta(q, d, zh) - z) < 1e-10
-    assert solve_zhat1(2, 5, -3 / 5) == pytest.approx(-1.0, abs=1e-9)
-
-
-def test_solve_zhat1_below_range_rejected():
-    with pytest.raises(DomainError):
-        solve_zhat1(2, 5, -0.61)
-    with pytest.raises(DomainError):
-        solve_zhat1(3, 6, -0.51)
-
-
 def test_solve_gap_batch_solves():
     for q, d in ((2, 5), (2, 6), (3, 6), (4, 4)):
-        z = np.linspace(z_left_endpoint(q, d) + 1e-6, 1.0 - 1e-6, 257)
+        # the left end of zeta's range: zeta(-1) = 2/d - 1 for q = 2 with odd d
+        z1 = 2.0 / d - 1.0 if q == 2 and d % 2 == 1 else -1.0 / (q - 1.0)
+        z = np.linspace(z1 + 1e-6, 1.0 - 1e-6, 257)
         got = solve_gap_batch(q, d, 1.0 - z)
         for zi, s in zip(z, got):
             assert abs(zeta(q, d, 1.0 - float(s)) - zi) < 1e-10
@@ -550,17 +527,41 @@ def test_domega_nan_beyond_domain():
 # xi and landmarks
 
 
+def xi_coefficients(q, c, d):
+    # ones, then -k and -(q-1)k, then (q-1) ones, k = (c-1)(d-1) - 1
+    k = (c - 1) * (d - 1) - 1
+    return [1] * (d - 2) + [-k, -(q - 1) * k] + [q - 1] * (d - 2)
+
+
+def xi_oracle(q, c, d, t):
+    # the integer curvature polynomial by 60-digit Horner at the tilt t
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t = decimal.Decimal(t)
+        out = decimal.Decimal(0)
+        for a in reversed(xi_coefficients(q, c, d)):
+            out = out * t + a
+        return out
+
+
+def xi_oracle_at_gap(q, c, d, s):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t = 1 - decimal.Decimal(s)
+    return xi_oracle(q, c, d, t)
+
+
 def test_xi_special_values():
     for q in (2, 3, 4):
         for c in (2, 3, 4):
             for d in (3, 5, 6, 8):
-                assert xi(q, c, d, 0.0) == 1.0
+                assert xi(q, c, d, 1.0) == 1.0
                 want = -q * (c - 2) * (d - 1)
-                assert xi(q, c, d, 1.0) == pytest.approx(want, abs=1e-9)
+                assert xi(q, c, d, 0.0) == want
+                assert xi(q, c, d, 1e-300) == pytest.approx(want, abs=1e-9)
 
 
 def test_xi_coefficient_pattern():
-    # ones, then -K and -(q-1)K, then (q-1) ones, K = (c-1)(d-1)-1
     assert xi_coefficients(2, 3, 6) == [1, 1, 1, 1, -9, -9, 1, 1, 1, 1]
     assert xi_coefficients(3, 3, 4) == [1, 1, -5, -10, 2, 2]
     coeffs = xi_coefficients(4, 2, 5)
@@ -568,10 +569,22 @@ def test_xi_coefficient_pattern():
     assert coeffs[0] == 1 and coeffs[-1] == 3
 
 
+@pytest.mark.parametrize("q, c, d", [(2, 3, 6), (3, 3, 6), (2, 4, 8), (4, 3, 5), (3, 2, 6),
+                                     (2, 3, 3000)])
+def test_xi_closed_form_matches_polynomial(q, c, d):
+    # at c = 2 both terms of the closed form tend to q(d-2) as s -> 0 and
+    # cancel, so below 1 the error is taken absolute
+    for s in (1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0, 1.3, 1.9):
+        want = xi_oracle_at_gap(q, c, d, s)
+        got = xi(q, c, d, s)
+        tol = decimal.Decimal(1e-12) * max(1, abs(want))
+        assert abs(decimal.Decimal(got) - want) <= tol, (s, got, want)
+
+
 def test_xi_positive_for_binary_c2():
     for d in range(3, 9):
-        grid = np.linspace(-1 + 1e-3, 1 - 1e-3, 2001)
-        assert all(xi(2, 2, d, float(t)) > 0 for t in grid), d
+        grid = np.linspace(1e-3, 2 - 1e-3, 2001)
+        assert all(xi(2, 2, d, float(s)) > 0 for s in grid), d
 
 
 def test_landmark_residuals_and_ordering():
@@ -579,7 +592,8 @@ def test_landmark_residuals_and_ordering():
         lm = landmarks(q, c, d)
         assert abs(omega(q, c, d, lm.x0).omega) < 1e-10
         assert abs(domega(q, c, d, lm.x3)) < 1e-10
-        assert abs(xi(q, c, d, lm.zhat2)) < 1e-10
+        assert abs(xi(q, c, d, lm.s2)) < 1e-10
+        assert lm.zhat2 == 1 - lm.s2
         assert 0 < lm.x3 < lm.x2 < 1 - 1 / q
         assert lm.x3 < lm.x0 <= 1 - 1 / q
         assert lm.x1 == x1_right_endpoint(q, d)
@@ -663,15 +677,17 @@ def test_landmarks_c2_large_field_inflection():
     lm = landmarks(3, 2, 6)
     assert lm.x3 is None and lm.x0 is None
     assert lm.zhat2 is not None
-    assert abs(xi(3, 2, 6, lm.zhat2)) < 1e-10
+    assert abs(xi(3, 2, 6, lm.s2)) < 1e-10
     assert lm.x2 == pytest.approx((1 - zeta(3, 6, lm.zhat2)) * 2 / 3, abs=1e-12)
 
 
 def test_landmarks_negative_root_binary_even_d():
-    lm = landmarks(2, 4, 8)
-    assert lm.zhat2_neg is not None
-    assert -1 < lm.zhat2_neg < 0
-    assert abs(xi(2, 4, 8, lm.zhat2_neg)) < 1e-10
+    for c, d in ((4, 8), (3, 4000)):
+        lm = landmarks(2, c, d)
+        assert lm.zhat2_neg is not None
+        assert -1 < lm.zhat2_neg < 0
+        assert abs(xi(2, c, d, 1 - lm.zhat2_neg)) < 1e-10, d
+        assert abs(xi_oracle(2, c, d, lm.zhat2_neg)) < 1e-10, d
     assert landmarks(2, 3, 5).zhat2_neg is None
 
 
