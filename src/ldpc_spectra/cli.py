@@ -9,12 +9,15 @@ JSON object {"code": ..., "message": ...}.
 Floating point values serialize with repr (shortest round-trip); infinities
 use the literal strings "inf"/"-inf" in both formats.  Exact rationals are
 carried as numerator/denominator digit strings plus a convenience double.
+
+Documents are rendered by this module directly; their bytes equal those
+of json.dumps(doc, sort_keys=True, indent=2) and of
+csv.writer(out, lineterminator="\\n").
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -22,6 +25,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -37,6 +41,12 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
+#
+# JSON is written by a recursive writer that appends text parts (keys
+# sorted, two-space indent, strings through json's C string escaper), and
+# CSV as one joined line per row.  json.dumps with indent runs json's
+# pure-Python encoder, about twice as slow; it and csv.writer stay in the
+# tests as oracles of the bytes.
 # ---------------------------------------------------------------------------
 
 
@@ -51,9 +61,14 @@ def digit_string(value: int) -> str:
 
     str() refuses integers longer than the interpreter's digit limit
     (sys.get_int_max_str_digits, 4300 digits by default), which exact
-    spectra pass at moderate n.  This peels off fixed-width chunks with
-    divmod instead, which leaves the limit alone.
+    spectra pass at moderate n.  Past the limit this peels off fixed-width
+    chunks with divmod instead, which leaves the limit alone.
     """
+    # Python 3.10 before 3.10.7 has neither the limit nor its getter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # floor(bits * log10(2)) + 1 digits at most, and 0.30103 > log10(2)
+    if not limit or value.bit_length() * 30103 // 100000 < limit:
+        return str(value)
     chunks = []
     while value >= _CHUNK_BASE:
         value, low = divmod(value, _CHUNK_BASE)
@@ -62,29 +77,61 @@ def digit_string(value: int) -> str:
     return "".join(reversed(chunks))
 
 
-def jsonable(value):
-    """Map a result value onto JSON-encodable structures.
-
-    Non-finite floats become their repr, the strings "inf"/"-inf"/"nan"
-    that CSV shows too, and numpy scalars become Python numbers.
-    """
-    if isinstance(value, float):
-        return value if math.isfinite(value) else repr(value)
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        return jsonable(value.item())
-    return value
-
-
 def fraction_to_float(value: Fraction) -> float:
     """Correctly rounded double for a rational, inf on overflow."""
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _json_parts(value, parts: list, newline: str) -> None:
+    """Append the JSON text of value to parts, as json.dumps(value,
+    sort_keys=True, indent=2) writes it; newline is the line break plus the
+    indent of the line value starts on.
+
+    Non-finite floats become the strings "inf", "-inf" and "nan" that CSV
+    shows too, and numpy scalars their Python values.
+    """
+    if isinstance(value, str):
+        parts.append(_json_string(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        parts.append(text if math.isfinite(value) else f'"{text}"')
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key in sorted(value):
+            parts.append(f"{opening}{_json_string(key)}: ")
+            _json_parts(value[key], parts, inner)
+            opening = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        opening = "[" + inner
+        for item in value:
+            parts.append(opening)
+            _json_parts(item, parts, inner)
+            opening = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, np.generic):
+        _json_parts(value.item(), parts, newline)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def emit_json(args, data, out) -> None:
@@ -97,8 +144,10 @@ def emit_json(args, data, out) -> None:
         },
         "data": data,
     }
-    out.write(json.dumps(jsonable(doc), sort_keys=True, indent=2))
-    out.write("\n")
+    parts = []
+    _json_parts(doc, parts, "\n")
+    parts.append("\n")
+    out.write("".join(parts))
 
 
 def _meta_parameters(args) -> dict:
@@ -107,14 +156,14 @@ def _meta_parameters(args) -> dict:
 
 
 def emit_csv(header, rows, out) -> None:
-    """Write rows of ints, strings and Python floats as CSV.
+    """Write rows of ints, strings and Python floats as CSV, one line each.
 
-    csv writes a float as str(x): its repr, which is the bare literal
-    inf, -inf or nan for a non-finite value.
+    Cells are joined as str(x) with no quoting: no cell holds a comma, a
+    quote or a line break.  A float shows its repr, the bare literal inf,
+    -inf or nan for a non-finite value.
     """
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    out.write(",".join(header) + "\n")
+    out.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_output(path: str | None, text: str) -> None:

@@ -157,6 +157,9 @@ def _average_terms(params: EnsembleParams, coeffs, last: int):
 
     One walk over l updates C(n, l), C(c*n, c*l) and (q-1)**((c-1)*l) by
     exact integer steps instead of recomputing them at every weight.
+    C(c*n, c*l) takes the c factors of a step as one product of small
+    numerators and one of small denominators (math.perm): one big
+    multiplication and one exact division per weight.
     """
     q, c, n = params.q, params.c, params.n
     cn = c * n
@@ -165,8 +168,7 @@ def _average_terms(params: EnsembleParams, coeffs, last: int):
     for l in range(last + 1):
         if l:
             binom_n = binom_n * (n - l + 1) // l
-            for k in range(c * (l - 1), c * l):
-                binom_cn = binom_cn * (cn - k) // (k + 1)
+            binom_cn = binom_cn * math.perm(cn - c * l + c, c) // math.perm(c * l, c)
             power *= step
         yield binom_n * coeffs[c * l], binom_cn * power
 

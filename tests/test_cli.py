@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 import ldpc_spectra
 from ldpc_spectra import (
@@ -84,7 +87,6 @@ def test_growth_csv_matches_library(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["x", "omega", "domega"]
-    import numpy as np
     xs = np.linspace(0.1, 0.9, 5)
     om, dom = omega_curve(2, 3, 6, xs)
     for row, o, dv in zip(rows, om, dom):
@@ -653,6 +655,136 @@ def test_float_documents_json_rows_equal_csv_rows(capsys):
     assert header == ["x", "omega", "bound", "margin"]
     assert smallx["grid_points"] == len(rows) == 50
     assert csv_token(smallx["min_margin"]) == min(rows, key=lambda r: float(r[3]))[3]
+
+
+# The stdlib encoders the renderer in cli replaced, kept as its oracles:
+# each document must be byte for byte what they write.
+
+
+def jsonable(value):
+    """Map a result value onto JSON-encodable structures.
+
+    Non-finite floats become their repr, the strings "inf"/"-inf"/"nan"
+    that CSV shows too, and numpy scalars become Python numbers.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        return jsonable(value.item())
+    return value
+
+
+def oracle_json(args, data):
+    doc = {
+        "meta": {
+            "command": args.command,
+            "parameters": cli._meta_parameters(args),
+            "seed": getattr(args, "seed", None),
+            "version": ldpc_spectra.__version__,
+        },
+        "data": data,
+    }
+    return json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
+
+
+def oracle_csv(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+ORACLE_COMMANDS = (
+    "spectrum --q 2 --c 3 --d 6 --n 60",
+    "spectrum --q 256 --c 6 --d 12 --n 400",       # digit strings past 4300
+    "exhaustive --q 2 --c 2 --d 4 --n 2",
+    "growth --q 2 --c 3 --d 5 --steps 11",          # -inf at x = 1
+    "delta --q 2 --d 5 --steps 11",                 # -inf in the vanished region
+    "landmarks --q 2 --c 1 --d 6",                  # no landmarks: null fields
+    "landmarks --q 2 --c 2 --d 6",                  # no x0, x3
+    "landmarks --q 3 --c 3 --d 6",
+    "simulate --q 2 --c 3 --d 6 --n 12 --trials 40 --seed 5 --no-filter",
+    "simulate --q 4 --c 2 --d 4 --n 8 --trials 30 --seed 3",
+    "bounds --q 2 --c 3 --d 6 --grid-steps 40",
+    "bounds --q 2 --c 3 --d 6 --n 60 --l0 3 --alpha 0.02 --grid-steps 40 --filtered",
+    "gv-limit --q 2 --d-list 6,12,24",
+    "small-weight --q 3 --c 3 --d 2 --l 1 --n-list 20,40,80",   # exact_zero
+    "small-weight --q 2 --c 3 --d 6 --l 4 --n-list 24,48,96",
+) + tuple(f"figure --id {i}" for i in range(1, 6))
+
+
+def test_documents_equal_stdlib_encoders(capsys):
+    for command in ORACLE_COMMANDS:
+        formats = ("json", "csv")
+        if command.startswith(("landmarks", "figure")):
+            formats = (None,)
+        for fmt in formats:
+            argv = command.split() + (["--format", fmt] if fmt else [])
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            args = cli._run_parser().parse_args(argv)
+            header, rows, data = args.func(args)
+            if args.format == "json":
+                assert out == oracle_json(args, data), argv
+                continue
+            assert out == oracle_csv(header, rows), argv
+            # the CSV renderer quotes nothing, so no cell may need quotes
+            for row in [header, *rows]:
+                assert not any(set(str(cell)) & set(',"\r\n') for cell in row), argv
+
+
+def test_emit_json_matches_stdlib_on_edge_values():
+    args = argparse.Namespace(command="synthetic", func=None, format="json", output=None,
+                              q=2, seed=None)
+    data = {
+        "floats": [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-310, 1.5e300, 0.1],
+        "numpy": [np.float64(0.25), np.int64(-7), np.bool_(True), np.bool_(False)],
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        "nested": {"none": None, "list": [None, [None, {}], {"b": None}], "tuple": (1, (2,))},
+        "text": ["", "gr\u00fc\u00dfe \u2603 \U0001f600", "\x00\x1f\t\n\r\"\\/", "\u2028"],
+        "ints": [0, -1, 2**64, 2**64 + 1, -(2**200), 10**300, True, False],
+        "\u00e9 key": 1,
+        "": "empty key",
+    }
+    out = io.StringIO()
+    cli.emit_json(args, data, out)
+    assert out.getvalue() == oracle_json(args, data)
+    # a non-finite numpy float reads like a Python one; the old jsonable
+    # gave numpy's repr, "np.float64(inf)", where no document carries one
+    values = [np.float64(math.inf), np.float64(-math.inf), np.float64(math.nan)]
+    out = io.StringIO()
+    cli.emit_json(args, values, out)
+    assert out.getvalue() == oracle_json(args, [math.inf, -math.inf, math.nan])
+
+
+def chunked_digits(value):
+    # decimal digits in chunks of 600, each below any limit str() enforces
+    chunks = []
+    while value >= 10**600:
+        value, low = divmod(value, 10**600)
+        chunks.append(f"{low:0600d}")
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
+
+
+def test_digit_string_around_chunk_and_limit_boundaries():
+    values = [v for k in (599, 600, 601, 4299, 4300, 4301) for v in (10**k - 1, 10**k)]
+    limit = sys.get_int_max_str_digits()
+    for value in values:
+        assert cli.digit_string(value) == chunked_digits(value)
+    try:
+        sys.set_int_max_str_digits(640)
+        for value in values:
+            assert cli.digit_string(value) == chunked_digits(value)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def assert_exit_2_without_output(capsys, tmp_path, *argv):
