@@ -6,7 +6,6 @@ from .bounds import (
     kappa,
     min_distance_bound,
     smallx_inequality_margin,
-    taylor_check,
     zero_column_filtered_bound,
 )
 from .errors import CapacityError, DomainError, ParameterError
@@ -17,10 +16,7 @@ from .growth import (
     Landmarks,
     delta,
     delta_curve,
-    delta_two_arg,
-    divergence,
     domega,
-    domega_alt,
     entropy_q,
     gv_threshold,
     landmarks,
@@ -49,9 +45,7 @@ from .spectrum import (
     avg_weight_at,
     avg_weight_d2,
     avg_weight_distribution,
-    beta,
     check_coeffs,
-    log_avg_upper_bound,
     log_fraction,
     single_check_coeffs,
     small_weight_order,

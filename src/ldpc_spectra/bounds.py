@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -54,6 +53,8 @@ def smallx_inequality_margin(q: int, c: int, d: int, x_grid) -> MarginReport:
     omega is resolved at every positive weight, so every supported q has a
     grid; the margins test the bound at each grid point.
     """
+    # kappa checks q, c and d, so 1/q**2 is formed for a field order only
+    k = kappa(q, c, d)
     xs = np.ascontiguousarray(x_grid, np.float64)
     if xs.size == 0:
         raise ParameterError("empty grid")
@@ -61,7 +62,6 @@ def smallx_inequality_margin(q: int, c: int, d: int, x_grid) -> MarginReport:
     if not (xs.min() > 0.0 and xs.max() < upper):
         raise DomainError(f"grid must lie strictly inside (0, {upper})")
     om = growth.omega_family(q, (c,), d, xs)[0]
-    k = kappa(q, c, d)
     bound = (c / 2.0 - 1.0) * xs * np.log(xs) + k * xs
     margin = bound - om
     return MarginReport(
@@ -146,29 +146,3 @@ def zero_column_filtered_bound(params: EnsembleParams, alpha: float) -> MinDista
     point, not implemented.
     """
     return replace(min_distance_bound(params, 2, alpha), filtered=True)
-
-
-def taylor_check(d: int, x_grid) -> float:
-    """Minimum slack of (1-x)**d <= 1 - d x + d(d-1) x**2 / 2 on a grid in [0, 1].
-
-    Returns min over the grid of the right side minus the left side; the
-    quadratic truncation of the binomial series dominates on [0, 1] for
-    every d >= 1, so the result is nonnegative up to rounding.
-    """
-    if d < 1:
-        raise ParameterError(f"d must be at least 1, got {d}")
-    xs = np.ascontiguousarray(x_grid, np.float64)
-    if xs.size == 0:
-        raise ParameterError("empty grid")
-    if not (xs.min() >= 0.0 and xs.max() <= 1.0):
-        raise DomainError("grid must lie in [0, 1]")
-    # grid floats are exact binary rationals, so the slack is computed
-    # exactly; float rounding would otherwise report spurious tiny
-    # negatives for d = 2 where the slack is identically zero
-    best = None
-    for xf in xs.tolist():
-        x = Fraction(xf)
-        slack = 1 - d * x + Fraction(d * (d - 1), 2) * x * x - (1 - x) ** d
-        if best is None or slack < best:
-            best = slack
-    return float(best)

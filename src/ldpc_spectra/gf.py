@@ -8,28 +8,30 @@ across runs and platforms: the modulus is the lexicographically smallest
 monic irreducible polynomial of degree k over GF(p), where candidates are
 compared coefficient-by-coefficient starting from the constant term.
 
-Addition and negation are defined once, digit-wise mod p on the base-p
-encodings (XOR in characteristic 2), for Python ints and numpy arrays.
-Fields of order up to 256 carry dense uint8 tables: sums and negations
-broadcast those definitions, products and inverses come from the exp/log
-tables of one generator of GF(q)*.  Larger fields (up to 2**16) use the
-same digit-wise addition plus polynomial products modulo the modulus.
+Every field carries dense uint8 operation tables, so build_field serves
+orders up to TABLE_LIMIT = 256 and refuses larger ones.  Sums and
+negations broadcast the digit-wise definitions mod p on the base-p
+encodings (XOR in characteristic 2); products and inverses come from the
+exp/log tables of one generator of GF(q)*, whose powers are polynomial
+products modulo the modulus.  check_order accepts orders up to
+ORDER_LIMIT = 2**16 for the modules that need no field arithmetic
+(spectrum, growth, bounds).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
 
-# Largest field order for which dense q-by-q lookup tables are built.
+# Largest field order build_field serves: every field has dense q-by-q tables.
 TABLE_LIMIT = 256
-# Largest supported field order.
+# Largest order check_order accepts, for the computations that need no field.
 ORDER_LIMIT = 1 << 16
 
 
@@ -149,9 +151,17 @@ def _neg_digits(p: int, k: int, a):
     return out
 
 
+def _mul_raw(p: int, k: int, modulus: tuple[int, ...], a: int, b: int) -> int:
+    """a*b in GF(p**k): the product of the polynomials a and b modulo modulus."""
+    if k == 1:
+        return (a * b) % p
+    prod = _poly_mul(_int_to_poly(a, p), _int_to_poly(b, p), p)
+    return _poly_to_int(_poly_mod(prod, list(modulus), p), p)
+
+
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """A realized finite field GF(q), q = p^k.
+    """A realized finite field GF(q), q = p^k <= 256, with its operation tables.
 
     Parameters
     ----------
@@ -165,11 +175,9 @@ class FieldSpec:
         Coefficients of the defining irreducible polynomial, constant term
         first, length k + 1, leading coefficient 1.  For k == 1 this is the
         polynomial x, i.e. (0, 1).
-    add_table, mul_table, neg_table, inv_table : numpy uint8 arrays or None
-        Dense operation tables, present exactly when q <= 256: sums and
-        negations digit-wise, products and inverses from the exp/log tables
-        of the first generator of GF(q)*.  Without tables the scalar methods
-        add digit-wise and multiply polynomials modulo ``modulus``.
+    add_table, mul_table, neg_table, inv_table : numpy uint8 arrays
+        Dense operation tables: sums and negations digit-wise, products and
+        inverses from the exp/log tables of the first generator of GF(q)*.
         ``inv_table[0]`` is a 0 sentinel; inversion of 0 raises instead.
     """
 
@@ -177,10 +185,10 @@ class FieldSpec:
     p: int
     k: int
     modulus: tuple[int, ...]
-    add_table: np.ndarray | None = field(default=None, repr=False)
-    mul_table: np.ndarray | None = field(default=None, repr=False)
-    neg_table: np.ndarray | None = field(default=None, repr=False)
-    inv_table: np.ndarray | None = field(default=None, repr=False)
+    add_table: np.ndarray = field(repr=False)
+    mul_table: np.ndarray = field(repr=False)
+    neg_table: np.ndarray = field(repr=False)
+    inv_table: np.ndarray = field(repr=False)
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.q:
@@ -196,52 +204,33 @@ class FieldSpec:
 
     def neg(self, a: int) -> int:
         self._check(a)
-        return int(_neg_digits(self.p, self.k, a))
+        return int(self.neg_table[a])
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.k > 1 and self.mul_table is None:
-            return self._mul_raw(a, b)
         return int(mul_arrays(self, a, b))
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise DomainError("0 has no multiplicative inverse")
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
-        # a**(q-2) in the multiplicative group of order q-1
-        out = 1
-        base = a
-        e = self.q - 2
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return out
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(_int_to_poly(a, self.p), _int_to_poly(b, self.p), self.p)
-        return _poly_to_int(_poly_mod(prod, list(self.modulus), self.p), self.p)
+        return int(self.inv_table[a])
 
 
-def _build_tables(spec: FieldSpec) -> FieldSpec:
-    """spec with its dense uint8 operation tables.
+def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The dense uint8 (add, mul, neg, inv) tables of GF(p**k).
 
     Sums and negations broadcast the digit-wise functions over every
     element.  With exp[i] = g**i for a generator g and log the inverse map,
     a*b = exp[(log a + log b) mod (q-1)] and 1/a = exp[-log a mod (q-1)]
     for nonzero a and b.
     """
-    q, p, k = spec.q, spec.p, spec.k
+    q = p**k
     # g is the first candidate whose powers take q - 1 steps to return to 1
     for g in range(1, q):
         powers = [1]
-        while (power := spec._mul_raw(powers[-1], g)) != 1:
+        while (power := _mul_raw(p, k, modulus, powers[-1], g)) != 1:
             powers.append(power)
         if len(powers) == q - 1:
             break
@@ -253,25 +242,8 @@ def _build_tables(spec: FieldSpec) -> FieldSpec:
     inv = np.zeros(q, np.uint8)
     inv[1:] = exp[-log[1:] % (q - 1)]
     elems = np.arange(q)
-    return replace(
-        spec,
-        add_table=_add_digits(p, k, elems[:, None], elems).astype(np.uint8),
-        mul_table=mul,
-        neg_table=_neg_digits(p, k, elems).astype(np.uint8),
-        inv_table=inv,
-    )
-
-
-def require_tables(spec: FieldSpec, need: str) -> None:
-    """Raise ParameterError unless spec carries dense operation tables.
-
-    need opens the message, naming the operation and its verb, for example
-    "enumeration requires".
-    """
-    if spec.add_table is None:
-        raise ParameterError(
-            f"{need} a tabled field (q <= {TABLE_LIMIT}), got q = {spec.q}"
-        )
+    add = _add_digits(p, k, elems[:, None], elems).astype(np.uint8)
+    return add, mul, _neg_digits(p, k, elems).astype(np.uint8), inv
 
 
 def add_arrays(spec: FieldSpec, a, b):
@@ -279,12 +251,12 @@ def add_arrays(spec: FieldSpec, a, b):
 
     In characteristic 2 the sum is the XOR of the encodings and in a prime
     field it is the residue mod p, so neither needs a table; other fields
-    add through add_table, or digit-wise when they have none.
+    add through add_table.
     """
     if spec.k == 1 and spec.p > 2:
-        return np.add(a, b, dtype=_wide(spec)) % spec.p
-    if spec.p == 2 or spec.add_table is None:
-        return _add_digits(spec.p, spec.k, a, b)
+        return np.add(a, b, dtype=np.uint16) % spec.p
+    if spec.p == 2:
+        return a ^ b
     return spec.add_table[a, b]
 
 
@@ -297,36 +269,34 @@ def mul_arrays(spec: FieldSpec, a, b):
     if spec.q == 2:
         return a & b
     if spec.k == 1:
-        return np.multiply(a, b, dtype=_wide(spec)) % spec.p
+        return np.multiply(a, b, dtype=np.uint16) % spec.p
     return spec.mul_table[a, b]
-
-
-def _wide(spec: FieldSpec):
-    """An unsigned type that holds the sum and product of two elements."""
-    return np.uint16 if spec.q <= TABLE_LIMIT else np.uint64
 
 
 @lru_cache(maxsize=None)
 def build_field(q: int) -> FieldSpec:
-    """Construct GF(q) for a prime power q.
+    """Construct GF(q), with its operation tables, for a prime power q.
 
     Parameters
     ----------
     q : int
-        Desired field order, 2 <= q <= 65536, a prime power.
+        Desired field order, 2 <= q <= 256, a prime power.
 
     Returns
     -------
     FieldSpec
-        Immutable field description with operation tables when q <= 256.
+        Immutable field description with dense operation tables.
 
     Raises
     ------
     ParameterError
-        Unless q is a prime power in [2, 2**16] (see :func:`check_order`).
+        Unless q is a prime power in [2, 2**16] (see :func:`check_order`),
+        and for every order past TABLE_LIMIT, before anything is built.
     """
     p, k = check_order(q)
-    spec = FieldSpec(q=q, p=p, k=k, modulus=_find_modulus(p, k))
-    if q <= TABLE_LIMIT:
-        spec = _build_tables(spec)
-    return spec
+    if q > TABLE_LIMIT:
+        raise ParameterError(
+            f"field arithmetic needs a tabled order q <= {TABLE_LIMIT}, got q = {q}"
+        )
+    modulus = _find_modulus(p, k)
+    return FieldSpec(q, p, k, modulus, *_tables(p, k, modulus))

@@ -195,22 +195,6 @@ def entropy_q(x: float, q: int) -> float:
     return out
 
 
-def divergence(x: float, y: float) -> float:
-    """Binary KL divergence D(x || y) in nats; +inf when y is a mismatched endpoint."""
-    _check_x(x)
-    _check_x(y)
-    out = 0.0
-    if x > 0.0:
-        if y == 0.0:
-            return INF
-        out += x * math.log(x / y)
-    if x < 1.0:
-        if y == 1.0:
-            return INF
-        out += (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
-    return out
-
-
 def rho(q: int, d: int, x: float) -> float:
     """Single-check log moment at tilt x: ln(1 + (q-1) z**d), z = 1 - qx/(q-1).
 
@@ -253,20 +237,6 @@ def x1_right_endpoint(q: int, d: int) -> float:
     if q == 2 and d % 2 == 1:
         return 1.0 - 1.0 / d
     return 1.0
-
-
-def delta_two_arg(q: int, d: int, x: float, xhat: float) -> float:
-    """The tilted single-check objective d * D(x || xhat) + rho(q, d, xhat).
-
-    delta(x) is the infimum of this over xhat in (0, 1); evaluating on a
-    grid of xhat values gives an independent upper envelope for tests.
-    """
-    check_order(q)
-    _check_d(d)
-    _check_x(x)
-    if not 0.0 < xhat < 1.0:
-        raise DomainError(f"tilt weight must lie in (0, 1), got {xhat}")
-    return d * divergence(x, xhat) + rho(q, d, xhat)
 
 
 # ---------------------------------------------------------------------------
@@ -509,25 +479,6 @@ def domega(q: int, c: int, d: int, x: float) -> float:
     return omega(q, c, d, x).domega
 
 
-def domega_alt(q: int, c: int, d: int, x: float) -> float:
-    """Derivative of the growth rate in the weight form (equal to domega).
-
-    d omega/dx = ln[(x/(1-x))**(c-1) * ((1-xhat1)/xhat1)**c] + ln(q-1),
-    xhat1 = (q-1) s/q at the gap s solved for x.  Check degrees d >= 2 are
-    served; x must lie strictly inside (0, x1), short of the band at x1.
-    """
-    _check_c(c)
-    x1 = x1_right_endpoint(q, d)
-    if not 0.0 < x <= x1 - ENDPOINT_BAND:
-        raise DomainError(f"weight-form derivative needs x inside (0, {x1 - ENDPOINT_BAND}]")
-    xh = (q - 1.0) / q * float(solve_gap_batch(q, d, np.array([q * x / (q - 1.0)]))[0])
-    return (
-        (c - 1) * math.log(x / (1.0 - x))
-        + c * math.log((1.0 - xh) / xh)
-        + math.log(q - 1.0)
-    )
-
-
 def _weights(xs) -> np.ndarray:
     xs = np.ascontiguousarray(xs, np.float64)
     if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
@@ -736,10 +687,7 @@ __all__ = [
     "Landmarks",
     "delta",
     "delta_curve",
-    "delta_two_arg",
-    "divergence",
     "domega",
-    "domega_alt",
     "entropy_q",
     "gv_threshold",
     "landmarks",

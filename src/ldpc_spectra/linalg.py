@@ -1,8 +1,8 @@
 """Dense linear algebra over tabled finite fields.
 
-Matrices are numpy arrays of canonical element integers.  Only fields with
-dense operation tables (q <= 256) are supported; that covers every field a
-code can realistically be enumerated over.
+Matrices are numpy arrays of canonical element integers over the tabled
+fields of gf (q <= 256), which cover every field a code can realistically
+be enumerated over.
 
 rref and kernel_basis take a (batch, rows, cols) stack of matrices and
 reduce all of them by one elimination loop; one matrix is a stack of one.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldSpec, add_arrays, mul_arrays, require_tables
+from .gf import FieldSpec, add_arrays, mul_arrays
 
 
 def rref(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -33,7 +33,6 @@ def rref(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         (batch, rows) int array listing the pivot column of each nonzero
         row in order, padded with -1 after each matrix's rank.
     """
-    require_tables(field, "dense linear algebra needs")
     m = np.array(stack, dtype=np.uint8, copy=True)
     batch, rows, cols = m.shape
     pivots = np.full((batch, rows), -1, np.intp)

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, ParameterError
-from .gf import FieldSpec, add_arrays, build_field, require_tables
+from .gf import FieldSpec, add_arrays, build_field
 from .linalg import kernel_basis
 from .spectrum import EnsembleParams, SpectrumTable
 
@@ -48,6 +48,10 @@ from .spectrum import EnsembleParams, SpectrumTable
 DEFAULT_ENUM_CAP = 1 << 24
 # Default cap on permutation-multiplier configurations for exhaustive averaging.
 DEFAULT_CONFIG_CAP = 10**8
+# Largest decimal log of a configuration count that is built and shown in
+# full: such a count has at most 600 digits, fewer than 640, the smallest
+# limit sys.set_int_max_str_digits accepts, so str() never refuses it.
+_SHOWN_LOG10 = 599
 # Codes sampled, assembled, reduced and counted together in one batched step:
 # at most _BLOCK codes and _BLOCK_CELLS parity-check matrix cells, so that
 # memory follows neither the trial count nor, past small codes, the code size.
@@ -134,12 +138,9 @@ def sample_code(params: EnsembleParams, seed, field: FieldSpec | None = None) ->
     """Draw one code from the ensemble, deterministically in the seed.
 
     seed may be an int or a tuple of ints (it feeds numpy SeedSequence).
-    Extension fields need operation tables (q <= 256) to add multipliers.
     """
     if field is None:
         field = build_field(params.q)
-    if field.k > 1:
-        require_tables(field, "sampling over an extension field requires")
     perms, mults = _draw(params, seed, 1)
     return CodeSample(
         params=params,
@@ -197,7 +198,6 @@ def enumerate_weights(
     CapacityError
         If q**dim exceeds cap; the request is refused before any work.
     """
-    require_tables(field, "enumeration requires")
     counts, dims = _count_stack(field, np.asarray(parity_matrix)[None], cap)
     counts_t = tuple(counts[0].tolist())
     dmin: float = math.inf
@@ -381,7 +381,6 @@ def monte_carlo(
         raise ParameterError(f"worker count must be at least 1, got {nworkers}")
     nworkers = min(nworkers, trials, os.cpu_count() or 1)
     field = build_field(params.q)
-    require_tables(field, "Monte Carlo enumeration requires")
     n = params.n
     dmax = math.floor(n * alpha)
     draw_size, block_size = _draw_size(params), _block_size(params)
@@ -454,11 +453,20 @@ def exhaustive_ensemble(
     Raises
     ------
     CapacityError
-        If the configuration count exceeds config_cap.
+        If the configuration count exceeds config_cap.  A count past
+        10**_SHOWN_LOG10, and tenfold past the cap, is refused from its
+        logarithm without being built, and named by its formula.
     """
     field = build_field(params.q)
-    require_tables(field, "exhaustive enumeration requires")
     cn = params.num_sockets
+    # decimal logs of the count and the cap
+    log_configs = (math.lgamma(cn + 1) + cn * math.log(params.q - 1)) / math.log(10)
+    log_cap = math.log10(config_cap) if config_cap > 0 else -math.inf
+    if log_configs > max(_SHOWN_LOG10, log_cap + 1):
+        raise CapacityError(
+            f"({cn})! * {params.q - 1}**{cn} ensemble configurations, about "
+            f"10**{log_configs:.0f}, exceed the cap {config_cap}"
+        )
     n_configs = math.factorial(cn) * (params.q - 1) ** cn
     if n_configs > config_cap:
         raise CapacityError(

@@ -225,42 +225,11 @@ def avg_weight_d2(params: EnsembleParams) -> SpectrumTable:
     return SpectrumTable(params=params, values=tuple(values))
 
 
-def beta(n: int, l: int) -> float:
-    """Gap between the binary entropy at l/n and the normalized log-binomial.
-
-    beta(n, l) = H2(l/n) - ln(C(n, l)) / n, always nonnegative, and at most
-    ln(l*(n-l)/n) / (2n) + (ln(2*pi)/2 + 1/6) / n for 0 < l < n.
-    """
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
-    if not 0 <= l <= n:
-        raise ParameterError(f"l = {l} outside [0, {n}]")
-    x = l / n
-    h2 = 0.0
-    if 0.0 < x < 1.0:
-        h2 = -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
-    return h2 - math.log(math.comb(n, l)) / n
-
-
 def log_fraction(value: Fraction) -> float:
     """Natural log of a positive rational, stable for huge numerators."""
     if value <= 0:
         raise ParameterError("logarithm of a nonpositive rational")
     return math.log(value.numerator) - math.log(value.denominator)
-
-
-def log_avg_upper_bound(params: EnsembleParams, l: int) -> float:
-    """Upper bound on (1/n) ln E[A(l)] from the growth rate plus Stirling gaps.
-
-    The bound is omega(l/n) + c * beta(c*n, c*l); it dominates the exact
-    normalized log for every finite n.  Needs d >= 2.
-    """
-    from . import growth
-
-    if not 0 <= l <= params.n:
-        raise ParameterError(f"weight {l} outside [0, {params.n}]")
-    om = growth.omega(params.q, params.c, params.d, l / params.n).omega
-    return om + params.c * beta(params.c * params.n, params.c * l)
 
 
 def _leading_order(c: int, l: int) -> int:

@@ -17,9 +17,9 @@ from ldpc_spectra import (
     min_distance_bound,
     omega_curve,
     smallx_inequality_margin,
-    taylor_check,
     zero_column_filtered_bound,
 )
+from oracles import taylor_check
 
 
 def test_kappa_closed_forms():
@@ -47,6 +47,13 @@ def test_margin_grid_domain_enforced():
         smallx_inequality_margin(3, 3, 6, np.array([0.2]))    # above 1/9
     with pytest.raises(DomainError, match=r"grid must lie strictly inside \(0, 0.25\)"):
         smallx_inequality_margin(2, 3, 6, np.array([-1e-9, 1e-3]))
+
+
+def test_margin_checks_parameters_before_the_grid():
+    # q = 0 used to divide by zero forming the grid's end 1/q**2
+    for q, c, d in [(0, 3, 6), (1, 3, 6), (6, 3, 6), (2, 0, 6), (2, 3, 1)]:
+        with pytest.raises(ParameterError):
+            smallx_inequality_margin(q, c, d, [0.01])
 
 
 def test_margin_positive_down_to_tiny_weights():

@@ -11,6 +11,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -467,14 +469,14 @@ def test_small_weight_past_int_digit_limit(capsys):
 
 
 def test_simulate_untabled_field_exit_2(capsys):
-    code, out, err = invoke(
-        capsys, "simulate", "--q", "512", "--c", "3", "--d", "6", "--n", "12",
-        "--trials", "2")
-    assert code == 2
-    assert out == ""
-    body = json.loads(err)
-    assert body["code"] == 2
-    assert "512" in body["message"]
+    # both subcommands that build a field refuse GF(512) with build_field's message
+    refusal = "field arithmetic needs a tabled order q <= 256, got q = 512"
+    for argv in (("simulate", "--trials", "2"), ("exhaustive",)):
+        code, out, err = invoke(
+            capsys, *argv, "--q", "512", "--c", "3", "--d", "6", "--n", "12")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"code": 2, "message": refusal}
 
 
 def test_unknown_arguments_exit_2(capsys):
@@ -547,11 +549,45 @@ def test_import_leaves_numpy_random_unloaded():
     assert (done.returncode, done.stdout) == (0, "False")
 
 
+def test_public_namespace_pinned():
+    # what the subcommands and the paper's objects need, and nothing that
+    # only tests call (those live in tests/oracles.py)
+    names = sorted(name for name, value in vars(ldpc_spectra).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == [
+        "CapacityError", "CheckCoeffTable", "CodeSample", "DeltaEval", "DomainError",
+        "EnsembleParams", "FieldSpec", "GrowthPoint", "Landmarks", "MarginReport",
+        "MinDistanceBoundReport", "ParameterError", "ScalingReport", "SimReport",
+        "SpectrumTable", "WeightEnumeration", "avg_weight_at", "avg_weight_d2",
+        "avg_weight_distribution", "build_field", "check_coeffs", "delta", "delta_curve",
+        "domega", "entropy_q", "enumerate_weights", "exhaustive_ensemble", "gv_threshold",
+        "kappa", "landmarks", "log_fraction", "min_distance_bound", "monte_carlo", "omega",
+        "omega_curve", "omega_family", "rho", "sample_code", "single_check_coeffs",
+        "small_weight_order", "small_weight_scaling", "smallx_inequality_margin",
+        "x1_right_endpoint", "xi", "zero_column_filtered_bound", "zeta",
+    ]
+
+
 def test_capacity_errors_exit_3(capsys):
     code, _, err = invoke(
         capsys, "exhaustive", "--q", "2", "--c", "3", "--d", "6", "--n", "12")
     assert code == 3
     assert json.loads(err)["code"] == 3
+
+
+def test_exhaustive_refuses_huge_counts_without_building_them(capsys):
+    # (3n)! has past 4300 digits, str()'s default limit, at n = 600 and
+    # takes seconds to build at n = 10**6
+    argv = ("exhaustive", "--q", "2", "--c", "3", "--d", "6", "--n")
+    message = ("(1800)! * 1**1800 ensemble configurations, about 10**5080, "
+               "exceed the cap 100000000")
+    refusal = json.dumps({"code": 3, "message": message}) + "\n"
+    assert invoke(capsys, *argv, "600") == (3, "", refusal)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv, str(10**6))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, json.loads(err)["code"]) == (3, "", 3)
+    assert json.loads(err)["message"].startswith("(3000000)! * 1**3000000 ")
 
 
 def test_oversized_grids_exit_3_without_output(tmp_path, capsys):

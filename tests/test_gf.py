@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-import random
 
 import numpy as np
 import pytest
 
-from ldpc_spectra import DomainError, ParameterError, build_field
-from ldpc_spectra.gf import ORDER_LIMIT, TABLE_LIMIT, check_order
+from ldpc_spectra import DomainError, ParameterError, build_field, gf
+from ldpc_spectra.gf import ORDER_LIMIT, TABLE_LIMIT, _mul_raw, check_order
 
 TABLED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+# sha256 of the add, mul, neg and inv tables of every tabled order, in
+# increasing order, recorded from the build that also served q > 256
+TABLES_SHA256 = "326691bcc43e9fc645300b28d679da5e0e70a6ceec3e1584beab962be8465c45"
 
 
 # The former scalar definitions, kept as the oracle for the digit-wise
@@ -43,19 +48,6 @@ def former_neg(f, a):
     return out
 
 
-def former_inv(f, a):
-    # a**(q-2) in the multiplicative group of order q-1
-    out = 1
-    base = a
-    e = f.q - 2
-    while e:
-        if e & 1:
-            out = f._mul_raw(out, base)
-        base = f._mul_raw(base, base)
-        e >>= 1
-    return out
-
-
 def former_tables(f):
     """The q-squared scalar build the dense tables used to come from."""
     q = f.q
@@ -67,7 +59,7 @@ def former_tables(f):
         neg[a] = former_neg(f, a)
         for b in range(q):
             add[a, b] = former_add(f, a, b)
-            mul[a, b] = f._mul_raw(a, b)
+            mul[a, b] = _mul_raw(f.p, f.k, f.modulus, a, b)
     for a in range(1, q):
         inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
     return add, mul, neg, inv
@@ -81,27 +73,28 @@ def prime_powers(limit):
 def test_tables_equal_former_construction():
     orders = prime_powers(TABLE_LIMIT)
     assert len(orders) == 70
+    digest = hashlib.sha256()
     for q in orders:
         f = build_field(q)
         got = (f.add_table, f.mul_table, f.neg_table, f.inv_table)
         for table, want in zip(got, former_tables(f)):
             assert table.dtype == np.uint8
             assert np.array_equal(table, want), q
+            digest.update(table.tobytes())
+    assert digest.hexdigest() == TABLES_SHA256
 
 
-def test_untabled_scalars_equal_former_definitions():
-    rng = random.Random(7)
-    for q in (257, 512, 625, 729, 65521, 65536):
-        f = build_field(q)
-        assert f.add_table is None
-        sample = [0, 1, q - 1] + [rng.randrange(q) for _ in range(40)]
-        for a in sample:
-            assert f.neg(a) == former_neg(f, a)
-            if a:
-                assert f.inv(a) == former_inv(f, a)
-            for b in sample[:15]:
-                assert f.add(a, b) == former_add(f, a, b)
-                assert f.mul(a, b) == f._mul_raw(a, b)
+def test_build_field_refuses_untabled_orders(monkeypatch):
+    # refused before the modulus search, the first step of building a field
+    def no_search(p, k):
+        raise AssertionError("modulus search reached")
+
+    monkeypatch.setattr(gf, "_find_modulus", no_search)
+    for q in (257, 512, 625, 65521, 65536):
+        with pytest.raises(ParameterError) as info:
+            build_field(q)
+        assert str(info.value) == (
+            f"field arithmetic needs a tabled order q <= {TABLE_LIMIT}, got q = {q}")
 
 
 def test_build_field_basic_shape():
@@ -200,38 +193,6 @@ def test_element_range_checked():
         f.add(5, 0)
     with pytest.raises(DomainError):
         f.mul(0, -1)
-
-
-def test_untabled_prime_field():
-    # beyond the table limit arithmetic still works element-wise
-    f = build_field(257)
-    assert f.add_table is None
-    assert f.add(200, 100) == 43
-    assert f.mul(16, 16) == 256
-    assert f.neg(1) == 256
-    assert f.mul(2, f.inv(2)) == 1
-    assert f.inv(2) == 129
-
-
-def test_untabled_extension_field():
-    for q, p, k in ((512, 2, 9), (625, 5, 4), (729, 3, 6)):
-        f = build_field(q)
-        assert f.add_table is None
-        assert f.p == p and f.k == k
-        sample = [0, 1, 2, 3, p, p + 1, 255, 256, q // 2, q - 1]
-        for a in sample:
-            acc = 0
-            for _ in range(p):
-                acc = f.add(acc, a)
-            assert acc == 0
-            assert f.add(a, f.neg(a)) == 0
-            if a:
-                assert f.mul(a, f.inv(a)) == 1
-        for a in sample:
-            for b in sample:
-                assert f.add(a, b) == f.add(b, a)
-                assert f.mul(a, b) == f.mul(b, a)
-                assert f.mul(a, f.add(b, 1)) == f.add(f.mul(a, b), a)
 
 
 def test_invalid_orders_rejected():

@@ -14,10 +14,7 @@ from ldpc_spectra import (
     ParameterError,
     delta,
     delta_curve,
-    delta_two_arg,
-    divergence,
     domega,
-    domega_alt,
     entropy_q,
     gv_threshold,
     landmarks,
@@ -30,6 +27,7 @@ from ldpc_spectra import (
 )
 from ldpc_spectra.cli import figure_data
 from ldpc_spectra.growth import BISECT_TOL, _sides, gap_map, omega_family, solve_gap_batch
+from oracles import delta_two_arg, divergence, domega_alt
 
 FIG_PAIRS = [(2, 5), (2, 6), (3, 5), (3, 6)]
 FIG_TRIPLES = [(q, c, d) for q, d in FIG_PAIRS for c in (1, 2, 3)]
@@ -597,6 +595,31 @@ def test_landmark_residuals_and_ordering():
         assert 0 < lm.x3 < lm.x2 < 1 - 1 / q
         assert lm.x3 < lm.x0 <= 1 - 1 / q
         assert lm.x1 == x1_right_endpoint(q, d)
+
+
+def test_landmarks_shape_the_curve_across_ensembles():
+    # the paper's qualitative claims on a 1001-point grid inside (0, 1 - 1/q):
+    # omega falls to its minimum at x3, crosses zero at x0 and is convex
+    # up to the inflection x2, concave past it; c in {3, 4, 5, d/2, d - 1, d}
+    ensembles = [
+        (q, c, d)
+        for q in (2, 3, 4, 5, 8, 16, 256, 65521)
+        for d in (3, 4, 5, 6, 7, 8, 12, 20, 50)
+        for c in sorted({3, 4, 5, d - 1, d} | ({d // 2} if d % 2 == 0 else set()))
+        if 3 <= c <= d
+    ]
+    assert len(ensembles) == 304
+    for q, c, d in ensembles:
+        top = 1 - 1 / q
+        xs = np.linspace(0.0, top, 1003)[1:-1]
+        lm = landmarks(q, c, d)
+        assert 0 < lm.x3 < lm.x2 < top and lm.x3 < lm.x0 <= top, (q, c, d)
+        om, dom = omega_curve(q, c, d, xs)
+        assert np.all(np.where(xs < lm.x3, dom < 0, dom > 0)), (q, c, d)
+        assert np.all(np.where(xs < lm.x0, om < 0, om > 0)), (q, c, d)
+        rise = np.diff(dom)
+        assert np.all(rise[xs[1:] < lm.x2 - 2e-3] > 0), (q, c, d)
+        assert np.all(rise[xs[:-1] > lm.x2 + 2e-3] < 0), (q, c, d)
 
 
 def test_domega_zeroes_x3_at_large_d():

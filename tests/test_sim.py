@@ -302,6 +302,15 @@ def test_exhaustive_ensemble_tiny_cases():
     assert all(isinstance(v, Fraction) for v in table.values)
 
 
+def test_exhaustive_cap_compares_the_exact_count():
+    # 2! * 3**2 = 18 configurations: a cap of 18 admits them, 17 does not
+    params = EnsembleParams(q=4, c=1, d=2, n=2)
+    assert exhaustive_ensemble(params, config_cap=18).values[0] == 1
+    with pytest.raises(CapacityError) as info:
+        exhaustive_ensemble(params, config_cap=17)
+    assert str(info.value) == "18 ensemble configurations exceed the cap 17"
+
+
 def test_exhaustive_counts_each_distinct_matrix_once(monkeypatch):
     # oracle: enumerate the parity matrix of every configuration, shared or not
     for q, c, d, n in ((2, 2, 4, 2), (3, 1, 3, 3)):

@@ -21,15 +21,14 @@ from ldpc_spectra import (
     avg_weight_at,
     avg_weight_d2,
     avg_weight_distribution,
-    beta,
     check_coeffs,
-    log_avg_upper_bound,
     log_fraction,
     min_distance_bound,
     single_check_coeffs,
     small_weight_order,
     small_weight_scaling,
 )
+from oracles import beta, log_avg_upper_bound
 
 STIRLING_CONST = math.log(2 * math.pi) / 2 + 1 / 6
 
