@@ -9,13 +9,13 @@ monic irreducible polynomial of degree k over GF(p), where candidates are
 compared coefficient-by-coefficient starting from the constant term.
 
 Every field carries dense uint8 operation tables, so build_field serves
-orders up to TABLE_LIMIT = 256 and refuses larger ones.  Sums and
-negations broadcast the digit-wise definitions mod p on the base-p
-encodings (XOR in characteristic 2); products and inverses come from the
-exp/log tables of one generator of GF(q)*, whose powers are polynomial
-products modulo the modulus.  check_order accepts orders up to
-ORDER_LIMIT = 2**16 for the modules that need no field arithmetic
-(spectrum, growth, bounds).
+orders up to TABLE_LIMIT = 256 and refuses larger ones.  The tables are
+built from the base-p digits of the encodings: sums, negations and scalar
+multiples digit-wise mod p (XOR in characteristic 2), x*a by shifting the
+digits of a up one degree and reducing the top digit by the monic
+modulus, a*b as the sum of b_i * (x**i * a), and 1/a read off the product
+table.  check_order accepts orders up to ORDER_LIMIT = 2**16 for the
+modules that need no field arithmetic (spectrum, growth, bounds).
 """
 
 from __future__ import annotations
@@ -53,51 +53,51 @@ def check_order(q: int) -> tuple[int, int]:
     raise ParameterError(f"q must be a prime power in [2, {ORDER_LIMIT}], got {q}")
 
 
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+@lru_cache(maxsize=None)
+def _sum_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (q, q) sums and the (p, q) multiples c*a of the encodings of GF(p**k).
+
+    Both are digit-wise mod p on the base-p digits (constant term first),
+    with XOR for the sums in characteristic 2.
+    """
+    q = p**k
+    weights = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // weights % p
+    if p == 2:
+        add = np.arange(q)[:, None] ^ np.arange(q)
+    else:
+        add = (digits[:, None] + digits) % p @ weights
+    scaled = np.arange(p)[:, None, None] * digits % p @ weights
+    return add.astype(np.uint8), scaled.astype(np.uint8)
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+def _products(p: int, k: int, modulus: tuple[int, ...], rows: int) -> np.ndarray:
+    """The encodings of a*b modulo the monic modulus, for a < rows and every b.
+
+    x*a shifts the digits of a up one degree and takes away its top digit
+    times the modulus.  Column b + c * p**i of the table (b < p**i) is then
+    column b plus c * (x**i * a).
+    """
+    add, scaled = _sum_tables(p, k)
+    top = p ** (k - 1)
+    low = sum(m * p**j for j, m in enumerate(modulus[:k]))  # x**k = -low
+    shifted = np.arange(rows)  # x**i * a
+    table = np.zeros((rows, 1), np.uint8)
+    for _ in range(k):
+        table = add[table[:, None, :], scaled[:, shifted].T[:, :, None]].reshape(rows, -1)
+        shifted = add[shifted % top * p, scaled[(p - shifted // top) % p, low]]
+    return table
 
 
-def _poly_mod(a: list[int], modulus: list[int], p: int) -> list[int]:
-    # modulus is monic, so each step cancels the current leading term exactly.
-    a = [x % p for x in a]
-    deg_m = len(modulus) - 1
-    for i in range(len(a) - 1, deg_m - 1, -1):
-        lead = a[i]
-        if lead:
-            shift = i - deg_m
-            for j, mj in enumerate(modulus):
-                a[shift + j] = (a[shift + j] - lead * mj) % p
-    return _poly_trim(a)
+def _is_field(p: int, k: int, modulus: tuple[int, ...]) -> bool:
+    """Whether polynomials over GF(p) modulo the monic modulus form a field.
 
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division of a monic polynomial by all monic polynomials of degree <= deg/2."""
-    deg = len(poly) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    if poly[0] == 0:
-        return False
-    for m in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=m):
-            divisor = list(tail) + [1]
-            if _poly_mod(poly, divisor, p) == []:
-                return False
-    return True
+    A modulus that factors has a factor of degree at most k/2, whose product
+    with the cofactor is 0; an irreducible one divides no product of two
+    nonzero elements.  So it is irreducible exactly when no nonzero element
+    of degree <= k/2, times any nonzero element, gives 0.
+    """
+    return bool(_products(p, k, modulus, p ** (k // 2 + 1))[1:, 1:].all())
 
 
 def _find_modulus(p: int, k: int) -> tuple[int, ...]:
@@ -108,55 +108,10 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     arithmetic mod p.
     """
     for tail in itertools.product(range(p), repeat=k):
-        candidate = list(tail) + [1]
-        if _is_irreducible(candidate, p):
-            return tuple(candidate)
+        # x divides every candidate of degree k > 1 with constant term 0
+        if (k == 1 or tail[0]) and _is_field(p, k, (*tail, 1)):
+            return (*tail, 1)
     raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
-
-
-def _int_to_poly(a: int, p: int) -> list[int]:
-    out = []
-    while a:
-        out.append(a % p)
-        a //= p
-    return out
-
-
-def _poly_to_int(coeffs: list[int], p: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * p + c
-    return out
-
-
-def _add_digits(p: int, k: int, a, b):
-    """a + b in GF(p**k), digit-wise mod p: ints, or arrays whose type holds a + b."""
-    if p == 2:
-        return a ^ b
-    out = 0
-    for j in range(k):
-        scale = p**j
-        out = out + (a // scale + b // scale) % p * scale
-    return out
-
-
-def _neg_digits(p: int, k: int, a):
-    """-a in GF(p**k), digit-wise mod p: a Python int or a numpy integer array."""
-    if p == 2:
-        return a
-    out = 0
-    for j in range(k):
-        scale = p**j
-        out = out + (p - a // scale % p) % p * scale
-    return out
-
-
-def _mul_raw(p: int, k: int, modulus: tuple[int, ...], a: int, b: int) -> int:
-    """a*b in GF(p**k): the product of the polynomials a and b modulo modulus."""
-    if k == 1:
-        return (a * b) % p
-    prod = _poly_mul(_int_to_poly(a, p), _int_to_poly(b, p), p)
-    return _poly_to_int(_poly_mod(prod, list(modulus), p), p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +131,9 @@ class FieldSpec:
         first, length k + 1, leading coefficient 1.  For k == 1 this is the
         polynomial x, i.e. (0, 1).
     add_table, mul_table, neg_table, inv_table : numpy uint8 arrays
-        Dense operation tables: sums and negations digit-wise, products and
-        inverses from the exp/log tables of the first generator of GF(q)*.
+        Dense operation tables from the base-p digits of the encodings: sums
+        and negations digit-wise mod p, products of the digit polynomials
+        modulo the modulus, and inverses read off the product table.
         ``inv_table[0]`` is a 0 sentinel; inversion of 0 raises instead.
     """
 
@@ -199,9 +155,6 @@ class FieldSpec:
         self._check(b)
         return int(add_arrays(self, a, b))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def neg(self, a: int) -> int:
         self._check(a)
         return int(self.neg_table[a])
@@ -221,29 +174,12 @@ class FieldSpec:
 def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """The dense uint8 (add, mul, neg, inv) tables of GF(p**k).
 
-    Sums and negations broadcast the digit-wise functions over every
-    element.  With exp[i] = g**i for a generator g and log the inverse map,
-    a*b = exp[(log a + log b) mod (q-1)] and 1/a = exp[-log a mod (q-1)]
-    for nonzero a and b.
+    -a is (p - 1) * a, and 1/a is the b whose product with a is 1; row 0 of
+    the product table holds no 1, which leaves the 0 sentinel.
     """
-    q = p**k
-    # g is the first candidate whose powers take q - 1 steps to return to 1
-    for g in range(1, q):
-        powers = [1]
-        while (power := _mul_raw(p, k, modulus, powers[-1], g)) != 1:
-            powers.append(power)
-        if len(powers) == q - 1:
-            break
-    exp = np.array(powers, np.uint8)
-    log = np.zeros(q, np.intp)
-    log[exp] = np.arange(q - 1)
-    mul = np.zeros((q, q), np.uint8)
-    mul[1:, 1:] = exp[(log[1:, None] + log[1:]) % (q - 1)]
-    inv = np.zeros(q, np.uint8)
-    inv[1:] = exp[-log[1:] % (q - 1)]
-    elems = np.arange(q)
-    add = _add_digits(p, k, elems[:, None], elems).astype(np.uint8)
-    return add, mul, _neg_digits(p, k, elems).astype(np.uint8), inv
+    add, scaled = _sum_tables(p, k)
+    mul = _products(p, k, modulus, p**k)
+    return add, mul, scaled[p - 1], (mul == 1).argmax(axis=1).astype(np.uint8)
 
 
 def add_arrays(spec: FieldSpec, a, b):

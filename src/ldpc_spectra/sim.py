@@ -107,30 +107,28 @@ def assemble_parity(params: EnsembleParams, field: FieldSpec, permutation, multi
     # (round j, trial, variable v): socket v*c + j
     perm = np.asarray(permutation, np.intp).reshape(batch, n, c).transpose(2, 0, 1)
     trial = np.arange(batch)[:, None]
-    symbol = np.min_scalar_type(params.q - 1)
-    edge_mult = np.asarray(multipliers, symbol)[trial, perm]
+    edge_mult = np.asarray(multipliers, np.uint8)[trial, perm]
     cell = (trial * m + perm // params.d) * n + np.arange(n)
-    h = np.zeros(batch * m * n, symbol)
+    h = np.zeros(batch * m * n, np.uint8)
     for at, add in zip(cell, edge_mult):
         h[at] = add_arrays(field, h[at], add)
     return h.reshape(batch, m, n)
 
 
 def _draw(params: EnsembleParams, seed, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Socket permutations (int64) and check-socket multipliers (field
+    """Socket permutations (int64) and check-socket multipliers (uint8 field
     symbols) of rows codes, (rows, c*n) each, drawn from one PCG64 keyed by
     SeedSequence(seed).
     """
     cn = params.num_sockets
-    symbol = np.min_scalar_type(params.q - 1)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     perms = np.tile(np.arange(cn, dtype=np.int64), (rows, 1))
     rng.permuted(perms, axis=1, out=perms)
     if params.q > 2:
         # drawn as int64, which fixes the stream
-        mults = rng.integers(1, params.q, size=(rows, cn), dtype=np.int64).astype(symbol)
+        mults = rng.integers(1, params.q, size=(rows, cn), dtype=np.int64).astype(np.uint8)
     else:
-        mults = np.ones((rows, cn), symbol)
+        mults = np.ones((rows, cn), np.uint8)
     return perms, mults
 
 
@@ -408,12 +406,9 @@ def monte_carlo(
     runs = min(nworkers, len(starts))
     cuts = [starts[len(starts) * w // runs] for w in range(runs)] + [trials]
     ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    if nworkers == 1:
-        parts = [run_range(ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            rest = pool.map(run_range, ranges[1:])
-            parts = [run_range(ranges[0]), *rest]
+    with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        rest = pool.map(run_range, ranges[1:])
+        parts = [run_range(ranges[0]), *rest]
     overall, filtered = parts[0]
     for more_overall, more_filtered in parts[1:]:
         overall.merge(more_overall)

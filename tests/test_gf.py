@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ldpc_spectra import DomainError, ParameterError, build_field, gf
-from ldpc_spectra.gf import ORDER_LIMIT, TABLE_LIMIT, _mul_raw, check_order
+from ldpc_spectra.gf import ORDER_LIMIT, TABLE_LIMIT, check_order
 
 TABLED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -19,9 +19,40 @@ TABLED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 TABLES_SHA256 = "326691bcc43e9fc645300b28d679da5e0e70a6ceec3e1584beab962be8465c45"
 
 
-# The former scalar definitions, kept as the oracle for the digit-wise
-# functions and the exp/log tables: a sum or negation is built digit by
-# digit, a product is the polynomial product modulo the field's modulus.
+# The former scalar definitions, kept as the oracle for the tables: a sum
+# or negation is built digit by digit, a product is the polynomial product
+# modulo the field's modulus, and irreducibility is trial division.
+
+def poly_mod(a, modulus, p):
+    """The k coefficients of a modulo a monic modulus of degree k over GF(p),
+    constant term first."""
+    a = [x % p for x in a]
+    deg = len(modulus) - 1
+    for i in range(len(a) - 1, deg - 1, -1):
+        lead = a[i]
+        for j, mj in enumerate(modulus):
+            a[i - deg + j] = (a[i - deg + j] - lead * mj) % p
+    return a[:deg]
+
+
+def former_mul(f, a, b):
+    if f.k == 1:
+        return (a * b) % f.p
+    a, b = ([x // f.p**j % f.p for j in range(f.k)] for x in (a, b))
+    prod = [0] * (2 * f.k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return sum(c * f.p**j for j, c in enumerate(poly_mod(prod, f.modulus, f.p)))
+
+
+def trial_division_irreducible(poly, p):
+    """No monic polynomial of degree 1 .. deg/2 divides poly over GF(p)."""
+    return all(any(poly_mod(poly, (*tail, 1), p))
+               for m in range(1, (len(poly) - 1) // 2 + 1)
+               for tail in itertools.product(range(p), repeat=m))
+
 
 def former_add(f, a, b):
     if f.k == 1:
@@ -59,7 +90,7 @@ def former_tables(f):
         neg[a] = former_neg(f, a)
         for b in range(q):
             add[a, b] = former_add(f, a, b)
-            mul[a, b] = _mul_raw(f.p, f.k, f.modulus, a, b)
+            mul[a, b] = former_mul(f, a, b)
     for a in range(1, q):
         inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
     return add, mul, neg, inv
@@ -82,6 +113,20 @@ def test_tables_equal_former_construction():
             assert np.array_equal(table, want), q
             digest.update(table.tobytes())
     assert digest.hexdigest() == TABLES_SHA256
+
+
+def test_field_rule_equals_trial_division():
+    # every monic candidate of degree k >= 2 for the extension orders <= 256
+    checked = 0
+    for q in prime_powers(TABLE_LIMIT):
+        p, k = check_order(q)
+        if k == 1:
+            continue
+        for tail in itertools.product(range(p), repeat=k):
+            modulus = (*tail, 1)
+            assert gf._is_field(p, k, modulus) == trial_division_irreducible(modulus, p), modulus
+            checked += 1
+    assert checked == 1357
 
 
 def test_build_field_refuses_untabled_orders(monkeypatch):
@@ -118,6 +163,7 @@ def test_known_moduli():
 def test_prime_field_matches_modular_arithmetic():
     for q in (2, 3, 5, 7, 11, 13):
         f = build_field(q)
+        assert f.modulus == (0, 1)  # the polynomial x
         for a in range(q):
             for b in range(q):
                 assert f.add(a, b) == (a + b) % q

@@ -366,9 +366,11 @@ def test_exhaustive_capacity_guard():
 
 
 class InlineExecutor:
-    """ThreadPoolExecutor stand-in: records max_workers, runs slices inline."""
+    """ThreadPoolExecutor stand-in: records max_workers and the number of
+    runs handed to the pool, runs them inline."""
 
     max_workers_seen = []
+    mapped_seen = []
 
     def __init__(self, max_workers):
         self.max_workers_seen.append(max_workers)
@@ -380,7 +382,9 @@ class InlineExecutor:
         return False
 
     def map(self, fn, iterable):
-        return [fn(item) for item in iterable]
+        items = list(iterable)
+        self.mapped_seen.append(len(items))
+        return [fn(item) for item in items]
 
 
 def test_monte_carlo_thread_pool_capped(monkeypatch):
@@ -389,15 +393,18 @@ def test_monte_carlo_thread_pool_capped(monkeypatch):
     monkeypatch.setattr(sim, "ThreadPoolExecutor", InlineExecutor)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
     InlineExecutor.max_workers_seen = []
+    InlineExecutor.mapped_seen = []
     report = monte_carlo(params, trials=3, seed=5, workers=10**6)
     assert InlineExecutor.max_workers_seen == [3]
     assert _report_data(report) == baseline
     monte_carlo(params, trials=20, seed=5, workers=10**6)
     assert InlineExecutor.max_workers_seen == [3, 8]
-    # an unknown processor count runs the trials inline, without a pool
+    # an unknown processor count runs the trials on the calling thread: the
+    # pool of one is handed no run, so it starts no thread
     monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
     assert _report_data(monte_carlo(params, trials=3, seed=5, workers=4)) == baseline
-    assert InlineExecutor.max_workers_seen == [3, 8]
+    assert InlineExecutor.max_workers_seen == [3, 8, 1]
+    assert InlineExecutor.mapped_seen[-1] == 0
 
 
 # ---------------------------------------------------------------------------
