@@ -71,12 +71,14 @@ def _sum_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return add.astype(np.uint8), scaled.astype(np.uint8)
 
 
+@lru_cache(maxsize=1)
 def _products(p: int, k: int, modulus: tuple[int, ...], rows: int) -> np.ndarray:
     """The encodings of a*b modulo the monic modulus, for a < rows and every b.
 
     x*a shifts the digits of a up one degree and takes away its top digit
     times the modulus.  Column b + c * p**i of the table (b < p**i) is then
-    column b plus c * (x**i * a).
+    column b plus c * (x**i * a).  The last table is kept: for k <= 2 the
+    modulus search tests its winner on all q rows, which _tables reuses.
     """
     add, scaled = _sum_tables(p, k)
     top = p ** (k - 1)

@@ -20,9 +20,15 @@ Codes travel as stacks: a draw block is assembled, reduced (linalg) and
 counted (kernels) by batched numpy calls on (batch, ...) arrays, in
 compute blocks of _block_size(params) codes cut inside it.  Aggregates are
 exact integer sums merged block by block, so reports are byte-identical
-for any worker count and compute block size.  The exhaustive average
-counts its distinct matrices in stacks of the same size.  A single code
+for any worker count and compute block size.  A single code
 (sample_code, enumerate_weights) is a stack of one, indexed [0].
+
+The exhaustive average needs no sampling: it walks the m-by-n edge-count
+tables of the ensemble, not its (c*n)! * (q-1)**(c*n) configurations, and
+weights each parity matrix a table can give by the configurations behind
+it.  Its cost follows the tables times the nonzero patterns of their
+cells; its distinct matrices are counted in stacks of the compute block
+size.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations, product
+from itertools import islice, product
 
 import numpy as np
 
@@ -431,19 +437,79 @@ def monte_carlo(
 # ---------------------------------------------------------------------------
 
 
+def _edge_tables(params: EnsembleParams):
+    """Iterate over (table, wiring count) for every edge-count table of the ensemble.
+
+    Entry (j, v) of a table, flat with rows first, counts the edges joining
+    check j to variable v: rows sum to d and columns to c.  Cells are filled
+    in that order against the row's sockets and the column sums left; any
+    column sums left with the right total can be filled, so no branch runs
+    dry, and the last row is what is left.  (c!)**n * (d!)**m / prod E_jv!
+    socket permutations wire a table: each variable and each check splits
+    its sockets among its neighbours, and the E_jv sockets on the two sides
+    of a cell pair up in E_jv! ways.
+    """
+    c, d, n, m = params.c, params.d, params.n, params.num_checks
+    wirings = math.factorial(c) ** n * math.factorial(d) ** m
+
+    def fill(table, sums):
+        at = len(table)
+        if at == (m - 1) * n:
+            table += sums
+            yield table, wirings // math.prod(map(math.factorial, table))
+            return
+        v, left = at % n, d - sum(table[at - at % n:])
+        for k in range(max(0, left - sum(sums[v + 1:])), min(left, sums[v]) + 1):
+            yield from fill(table + (k,), sums[:v] + (sums[v] - k,) + sums[v + 1:])
+
+    return fill((), (c,) * n)
+
+
+def _matrix_multiplicities(params: EnsembleParams) -> Counter:
+    """Configurations giving each parity matrix, keyed by its bytes (rows first).
+
+    A cell of k >= 1 parallel edges holds the sum of k nonzero multipliers.
+    Of their (q-1)**k choices, b(k) = ((q-1)**k + (-1)**k (q-1))/q sum to 0
+    (the b(k) of spectrum.single_check_coeffs) and b(k+1)/(q-1) to each
+    nonzero value, since the k multipliers and the negated sum then sum to
+    0.  Cells choose independently, so each matrix an edge-count table can
+    give takes the table's wiring count times its cells' counts.  Over
+    GF(2) a table gives one matrix, the table mod 2.
+    """
+    q = params.q
+    b = [((q - 1) ** k + (-1) ** k * (q - 1)) // q for k in range(min(params.c, params.d) + 2)]
+    # per cell size k: (value, multiplier choices) for the values with choices
+    spread = [[(h, w) for h, w in enumerate([b[k]] + [b[k + 1] // (q - 1)] * (q - 1)) if w]
+              for k in range(len(b) - 1)]
+    shared = Counter()
+    for table, wirings in _edge_tables(params):
+        for cells in product(*map(spread.__getitem__, table)):
+            matrix, choices = zip(*cells)
+            shared[bytes(matrix)] += wirings * math.prod(choices)
+    return shared
+
+
 def exhaustive_ensemble(
     params: EnsembleParams, config_cap: int = DEFAULT_CONFIG_CAP
 ) -> SpectrumTable:
     """Average the exact weight counts over every ensemble configuration.
 
-    Enumerates all (c*n)! socket permutations and all (q-1)**(c*n) nonzero
-    multiplier assignments, counting the weights of each distinct parity
-    matrix once and weighting them by how many configurations share it; the
-    returned table is an exact rational average that must equal the
-    closed-form ensemble expectation.  Configurations are assembled a block
-    at a time and their matrices tallied by their bytes; the distinct
-    matrices are counted in stacks of the same size, and their weighted
-    counts summed as Python integers, which no multiplicity overflows.
+    The average runs over all (c*n)! socket permutations and all
+    (q-1)**(c*n) nonzero multiplier assignments, but walks edge-count tables
+    rather than configurations: a wiring matters only through its table, and
+    the multipliers only through the cell sums they leave (see
+    _matrix_multiplicities).  Each distinct parity matrix is tallied by its
+    bytes with the number of configurations that give it, its weights are
+    counted once, in stacks of _block_size(params) matrices, and the
+    weighted counts are summed as Python integers, which no multiplicity
+    overflows; the returned table is an exact rational average that must
+    equal the closed-form ensemble expectation.  The cost follows the tables
+    times the nonzero patterns of their cells, not the configurations.
+
+    config_cap bounds the configuration count, not the tables: each
+    (table, matrix) pair stands for at least one configuration, so that
+    count bounds the work from above, and it is known in closed form, so a
+    refusal walks no table.
 
     Raises
     ------
@@ -467,17 +533,10 @@ def exhaustive_ensemble(
         raise CapacityError(
             f"{n_configs} ensemble configurations exceed the cap {config_cap}"
         )
-    configs = (
-        (perm, mult)
-        for perm in permutations(range(cn))
-        for mult in product(range(1, params.q), repeat=cn)
-    )
+    shared = _matrix_multiplicities(params)
+    if sum(shared.values()) != n_configs:
+        raise AssertionError(f"tables reach {sum(shared.values())} of {n_configs} configurations")
     block = _block_size(params)
-    shared = Counter()
-    while batch := list(islice(configs, block)):
-        perms, mults = (np.array(part, np.int64) for part in zip(*batch))
-        parity = assemble_parity(params, field, perms, mults)
-        shared.update(map(bytes, parity.reshape(len(parity), -1)))
     totals = [0] * (params.n + 1)
     distinct = iter(shared.items())
     while batch := list(islice(distinct, block)):

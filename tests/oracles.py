@@ -3,19 +3,22 @@
 These are scalar evaluations of the paper's quantities by a route the
 package does not take: the tilted two-argument objective whose infimum is
 delta, the weight form of the growth rate's derivative, the Stirling-gap
-upper bound on (1/n) ln E[A(l)], and the Taylor slack behind the
-small-weight bound.  No subcommand needs them, so they live here.
+upper bound on (1/n) ln E[A(l)], the Taylor slack behind the
+small-weight bound, and the parity matrices of every ensemble
+configuration.  No subcommand needs them, so they live here.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import islice, permutations, product
 
 import numpy as np
 
 from ldpc_spectra import DomainError, ParameterError
-from ldpc_spectra.gf import check_order
+from ldpc_spectra.gf import build_field, check_order
 from ldpc_spectra.growth import (
     ENDPOINT_BAND,
     INF,
@@ -27,6 +30,7 @@ from ldpc_spectra.growth import (
     solve_gap_batch,
     x1_right_endpoint,
 )
+from ldpc_spectra.sim import assemble_parity
 
 
 def divergence(x: float, y: float) -> float:
@@ -131,3 +135,26 @@ def taylor_check(d: int, x_grid) -> float:
         if best is None or slack < best:
             best = slack
     return float(best)
+
+
+def configuration_multiplicities(params) -> Counter:
+    """How many ensemble configurations give each parity matrix (its bytes).
+
+    Walks all (c*n)! socket permutations and all (q-1)**(c*n) nonzero
+    multiplier assignments, and assembles the matrices of 1024
+    configurations at a time with sim.assemble_parity.  The count grows
+    factorially, so this serves tiny ensembles only.
+    """
+    field = build_field(params.q)
+    cn = params.num_sockets
+    configs = (
+        (perm, mult)
+        for perm in permutations(range(cn))
+        for mult in product(range(1, params.q), repeat=cn)
+    )
+    shared = Counter()
+    while batch := list(islice(configs, 1024)):
+        perms, mults = (np.array(part, np.int64) for part in zip(*batch))
+        parity = assemble_parity(params, field, perms, mults)
+        shared.update(map(bytes, parity.reshape(len(parity), -1)))
+    return shared

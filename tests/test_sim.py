@@ -27,6 +27,7 @@ from ldpc_spectra.cli import _report_data
 from ldpc_spectra.kernels import count_weights
 from ldpc_spectra.linalg import kernel_basis
 from ldpc_spectra.sim import SimReport, SpectrumStats, has_zero_column
+from oracles import configuration_multiplicities
 
 
 def dmin_le_2(field, parity_matrix):
@@ -354,9 +355,45 @@ def test_exhaustive_totals_stay_exact_past_int64(monkeypatch):
 
 
 def test_exhaustive_matches_formula_beyond_acceptance_set():
-    params = EnsembleParams(q=2, c=1, d=2, n=4)
-    assert exhaustive_ensemble(params).values == \
-        avg_weight_distribution(params).values
+    # (2,3,6) n = 6 has 18! ~ 6.4e15 configurations, reached through 28,681 tables
+    for q, c, d, n in ((2, 1, 2, 4), (2, 3, 6, 4), (2, 3, 6, 6), (3, 3, 6, 4),
+                       (4, 2, 4, 4), (3, 2, 4, 4)):
+        params = EnsembleParams(q=q, c=c, d=d, n=n)
+        assert exhaustive_ensemble(params, config_cap=10**16).values == \
+            avg_weight_distribution(params).values, (q, c, d, n)
+
+
+def test_edge_tables_equal_configuration_oracle():
+    # every matrix with the number of configurations that give it
+    for q, c, d, n in ((2, 1, 3, 3), (3, 1, 3, 3), (2, 2, 4, 2), (2, 2, 2, 2),
+                       (4, 1, 2, 2), (4, 2, 4, 2), (2, 1, 2, 4)):
+        params = EnsembleParams(q=q, c=c, d=d, n=n)
+        assert sim._matrix_multiplicities(params) == \
+            configuration_multiplicities(params), (q, c, d, n)
+
+
+def test_edge_tables_cover_every_wiring_once():
+    for (c, d, n), count in {(2, 4, 4): 19, (3, 6, 4): 44, (2, 4, 6): 2385,
+                             (3, 6, 6): 28681}.items():
+        params = EnsembleParams(q=2, c=c, d=d, n=n)
+        tables = dict(sim._edge_tables(params))
+        assert len(tables) == count, (c, d, n)
+        assert sum(tables.values()) == math.factorial(c * n)
+        stack = np.reshape(list(tables), (count, params.num_checks, n))
+        assert (stack.sum(axis=2) == d).all() and (stack.sum(axis=1) == c).all()
+
+
+def test_matrix_multiplicities_sum_to_configurations(monkeypatch):
+    for q, c, d, n in ((2, 3, 6, 4), (3, 3, 6, 4), (4, 2, 4, 4), (5, 2, 4, 2), (8, 1, 3, 3)):
+        params = EnsembleParams(q=q, c=c, d=d, n=n)
+        cn = params.num_sockets
+        shared = sim._matrix_multiplicities(params)
+        assert sum(shared.values()) == math.factorial(cn) * (q - 1) ** cn, (q, c, d, n)
+    # a matrix lost from the tally is caught before any weight is counted
+    shared.popitem()
+    monkeypatch.setattr(sim, "_matrix_multiplicities", lambda params_: shared)
+    with pytest.raises(AssertionError):
+        exhaustive_ensemble(params)
 
 
 def test_exhaustive_capacity_guard():
