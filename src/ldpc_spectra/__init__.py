@@ -11,17 +11,12 @@ from .bounds import (
 from .errors import CapacityError, DomainError, ParameterError
 from .gf import FieldSpec, build_field
 from .growth import (
-    DeltaEval,
-    GrowthPoint,
     Landmarks,
     delta,
-    delta_curve,
-    domega,
     entropy_q,
     gv_threshold,
     landmarks,
     omega,
-    omega_curve,
     omega_family,
     rho,
     x1_right_endpoint,
@@ -38,7 +33,6 @@ from .sim import (
     sample_code,
 )
 from .spectrum import (
-    CheckCoeffTable,
     EnsembleParams,
     ScalingReport,
     SpectrumTable,

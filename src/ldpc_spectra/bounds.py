@@ -121,7 +121,7 @@ def min_distance_bound(params: EnsembleParams, l0: int, alpha: float) -> MinDist
     delta_inc = 0
     while (exponent := small_weight_order(q, c, d, l0 + delta_inc)) is None:
         delta_inc += 1
-    om = growth.omega(q, c, d, alpha).omega
+    om, _ = growth.omega(q, c, d, alpha)
     try:
         exp_term = params.n**1.5 * math.exp(params.n * om)
     except OverflowError:

@@ -252,12 +252,12 @@ def _curve(header, xs, columns):
 
 def _cmd_growth(args):
     xs = _grid(args)
-    return _curve(["x", "omega", "domega"], xs, growth.omega_curve(args.q, args.c, args.d, xs))
+    return _curve(["x", "omega", "domega"], xs, growth.omega(args.q, args.c, args.d, xs))
 
 
 def _cmd_delta(args):
     xs = _grid(args)
-    return _curve(["x", "delta", "zhat1", "xhat1"], xs, growth.delta_curve(args.q, args.d, xs))
+    return _curve(["x", "delta", "zhat1", "xhat1"], xs, growth.delta(args.q, args.d, xs))
 
 
 def _cmd_landmarks(args):
@@ -265,7 +265,7 @@ def _cmd_landmarks(args):
     residuals = {}
     # x0 and x3 exist together (c >= 3), and share one gap solve
     if marks.x3 is not None:
-        om, dom = growth.omega_curve(args.q, args.c, args.d, [marks.x0, marks.x3])
+        om, dom = growth.omega(args.q, args.c, args.d, [marks.x0, marks.x3])
         residuals["omega_at_x0"] = abs(float(om[0]))
         residuals["domega_at_x3"] = abs(float(dom[1]))
     if marks.zhat2 is not None:
@@ -316,8 +316,10 @@ def _cmd_bounds(args):
     margin = bounds.smallx_inequality_margin(args.q, args.c, args.d, xs)
     min_distance = None
     if args.n is not None:
-        if args.l0 is None or args.alpha is None:
-            raise ParameterError("--n needs --l0 and --alpha for the distance bound")
+        # the filtered bound starts at l0 = 2 and needs no --l0
+        if (args.l0 is None and not args.filtered) or args.alpha is None:
+            need = "--alpha" if args.filtered else "--l0 and --alpha"
+            raise ParameterError(f"--n needs {need} for the distance bound")
         if args.filtered:
             rep = bounds.zero_column_filtered_bound(_params(args), args.alpha)
         else:
@@ -350,6 +352,7 @@ def _cmd_gv_limit(args):
     gv = growth.gv_threshold(args.q, args.redundancy)
     rows = []
     for d in d_list:
+        growth._check_d(d)
         c_exact = args.redundancy * d
         c = round(c_exact)
         if abs(c_exact - c) > 1e-9 or c < 1:
@@ -396,7 +399,7 @@ def figure_data(fig_id: int) -> tuple[list[str], list[tuple]]:
     xs = np.linspace(0.0, 1.0, FIGURE_STEPS)
     if fig_id == 1:
         header = ["x"] + [f"delta_{q}_{d}" for q, d in FIGURE_DELTA_SETS]
-        columns = [growth.delta_curve(q, d, xs)[0] for q, d in FIGURE_DELTA_SETS]
+        columns = [growth.delta(q, d, xs)[0] for q, d in FIGURE_DELTA_SETS]
     elif fig_id in FIGURE_OMEGA_SETS:
         q, d = FIGURE_OMEGA_SETS[fig_id]
         header = ["x"] + [f"omega_c{c}" for c in (1, 2, 3)]

@@ -65,11 +65,6 @@ def _check_c(c: int) -> None:
         raise ParameterError(f"variable degree must be at least 1, got {c}")
 
 
-def _check_x(x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"normalized weight must lie in [0, 1], got {x}")
-
-
 # ---------------------------------------------------------------------------
 # The tilt map in the gap s = 1 - t, and its batched inverse
 # ---------------------------------------------------------------------------
@@ -185,16 +180,6 @@ def _newton(q, d, near, w, cap):
 # ---------------------------------------------------------------------------
 
 
-def entropy_q(x: float, q: int) -> float:
-    """q-ary entropy with natural logs: H_q(0) = 0, H_q(1 - 1/q) = ln q."""
-    check_order(q)
-    _check_x(x)
-    out = x * math.log(q - 1.0) if q > 2 else 0.0
-    if 0.0 < x < 1.0:
-        out += -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
-    return out
-
-
 def rho(q: int, d: int, x: float) -> float:
     """Single-check log moment at tilt x: ln(1 + (q-1) z**d), z = 1 - qx/(q-1).
 
@@ -202,9 +187,9 @@ def rho(q: int, d: int, x: float) -> float:
     argument vanishes at x = 1 and the value is -inf.
     """
     check_order(q)
-    if d < 1:
-        raise ParameterError(f"check degree must be at least 1, got {d}")
-    _check_x(x)
+    _check_d(d, 1)
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"normalized weight must lie in [0, 1], got {x}")
     z = 1.0 - q * x / (q - 1.0)
     arg = 1.0 + (q - 1.0) * z**d
     if arg <= 0.0:
@@ -336,7 +321,12 @@ def _delta_grid(q: int, d: int, x: np.ndarray):
     near1, beyond, interior = _region_masks(q, d, x)
 
     if q == 2 and d % 2 == 1:
-        gain[near1] = math.log(2 * d) - d * entropy_q(1.0 / d, 2) - math.log(2)
+        # ln(2d) - d H_2(1/d) - ln 2 with H_2(u) = -u ln u - (1-u) ln(1-u) in
+        # plain logs: _entropy_open's log1p differs in the last digit for
+        # most odd d >= 7, and this value is printed at x1
+        u = 1.0 / d
+        gain[near1] = (math.log(2 * d) + d * (u * math.log(u) + (1.0 - u) * math.log(1.0 - u))
+                       - math.log(2))
         gain[beyond] = -INF
         zh[near1 | beyond] = -1.0
     else:
@@ -398,7 +388,7 @@ def _slope_grid(q: int, c: int, d: int, x: np.ndarray, s: np.ndarray, regions):
 
 def _omega_grid(q: int, cs, d: int, x: np.ndarray, slope: bool):
     """omega over the weights x for each variable degree in cs, from one
-    delta solve: a list of (omega, domega) pairs, domega None unless slope.
+    delta solve: a list of (omega, slope) pairs, the slope None unless asked.
 
     For the cycle codes, d = 2, omega is (1 - c/2) H_q(x).
     """
@@ -411,79 +401,49 @@ def _omega_grid(q: int, cs, d: int, x: np.ndarray, slope: bool):
 
 
 # ---------------------------------------------------------------------------
-# Public scalar API
+# Public API: one function per quantity, for a weight or an array of weights
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaEval:
-    """A delta evaluation with its minimizing tilt.
-
-    zhat1/xhat1 are the stationary tilt in both coordinates; at the domain
-    endpoints they carry the analytic limits.  value is -inf on the
-    unreachable range (q = 2, odd d, x beyond 1 - 1/d).
+def _weights(x) -> np.ndarray:
+    """x as a float64 array, a single weight as one element; DomainError
+    unless every weight lies in [0, 1], which a NaN does not.
     """
-
-    x: float
-    z: float
-    zhat1: float
-    xhat1: float
-    value: float
-
-
-@dataclass(frozen=True)
-class GrowthPoint:
-    """Growth rate and its derivative at one normalized weight."""
-
-    x: float
-    omega: float
-    domega: float
-
-
-def delta(q: int, d: int, x: float) -> DeltaEval:
-    """Evaluate the inner infimum delta(x) with its minimizer.
-
-    At x = 0 and within ENDPOINT_BAND of the right endpoint x1 the analytic
-    endpoint/limit values are returned directly; every other x is solved.
-    """
-    check_order(q)
-    _check_d(d)
-    _check_x(x)
-    gain, zh, xh, *_ = _delta_grid(q, d, np.array([x], np.float64))
-    return DeltaEval(x=x, z=1.0 - q * x / (q - 1.0), zhat1=float(zh[0]), xhat1=float(xh[0]),
-                     value=float(gain[0] + math.log(q)))
-
-
-def omega(q: int, c: int, d: int, x: float) -> GrowthPoint:
-    """Growth rate omega(x) = H_q(x) + (c/d) (delta(x) - ln q), with derivative.
-
-    For the cycle codes, d = 2, this is the closed form (1 - c/2) H_q(x).
-    """
-    check_order(q)
-    _check_c(c)
-    _check_d(d, 2)
-    _check_x(x)
-    om, dom = _omega_grid(q, (c,), d, np.array([x], np.float64), True)[0]
-    return GrowthPoint(x=x, omega=float(om[0]), domega=float(dom[0]))
-
-
-def domega(q: int, c: int, d: int, x: float) -> float:
-    """Derivative of the growth rate in the tilt form.
-
-    d omega/dx = ln[(1 + (q-1) zhat1)/(1 - zhat1)]
-               + (c-1) ln[(1 - zhat1**(d-1))/(1 + (q-1) zhat1**(d-1))].
-
-    At x = 0 and x = x1 the one-sided limits are returned (extended reals);
-    beyond x1, where omega is identically -inf, the result is nan.
-    """
-    return omega(q, c, d, x).domega
-
-
-def _weights(xs) -> np.ndarray:
-    xs = np.ascontiguousarray(xs, np.float64)
+    xs = np.ascontiguousarray(x, np.float64)
     if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise DomainError("weights must lie in [0, 1]")
     return xs
+
+
+def _like(x, *arrays):
+    """The arrays as Python floats if x is a single weight, else as they are."""
+    if np.ndim(x) == 0:
+        return tuple(float(a[0]) for a in arrays)
+    return arrays
+
+
+def entropy_q(x, q: int):
+    """q-ary entropy with natural logs: H_q(0) = 0, H_q(1 - 1/q) = ln q.
+
+    A float for a single weight x, an array for an array of weights.
+    """
+    check_order(q)
+    return _like(x, _entropy_vec(_weights(x), q))[0]
+
+
+def delta(q: int, d: int, x):
+    """The inner infimum delta(x) with its minimizer: (delta, zhat1, xhat1),
+    floats for a single weight x, arrays for an array of weights.
+
+    zhat1/xhat1 are the stationary tilt in both coordinates.  At x = 0 and
+    within ENDPOINT_BAND of the right endpoint x1 the analytic endpoint/limit
+    values are returned directly; every other x is solved.  delta is -inf on
+    the unreachable range (q = 2, odd d, x beyond 1 - 1/d).
+    """
+    check_order(q)
+    _check_d(d)
+    gain, zh, xh, *_ = _delta_grid(q, d, _weights(x))
+    return _like(x, gain + math.log(q), zh, xh)
 
 
 def _omega_weights(q: int, cs, d: int, xs) -> np.ndarray:
@@ -494,12 +454,20 @@ def _omega_weights(q: int, cs, d: int, xs) -> np.ndarray:
     return _weights(xs)
 
 
-def omega_curve(q: int, c: int, d: int, xs):
-    """Vectorized omega and its derivative over an array of weights in [0, 1].
+def omega(q: int, c: int, d: int, x):
+    """Growth rate omega(x) = H_q(x) + (c/d) (delta(x) - ln q) and its slope
+    omega'(x): floats for a single weight x, arrays for an array of weights.
 
-    Check degrees d >= 2 are served, d = 2 by the closed form of omega.
+    For the cycle codes, d = 2, omega is the closed form (1 - c/2) H_q(x).
+    The slope is, in the tilt,
+
+        d omega/dx = ln[(1 + (q-1) zhat1)/(1 - zhat1)]
+                   + (c-1) ln[(1 - zhat1**(d-1))/(1 + (q-1) zhat1**(d-1))].
+
+    At x = 0 and x = x1 it takes its one-sided limits (extended reals);
+    beyond x1, where omega is identically -inf, it is nan.
     """
-    return _omega_grid(q, (c,), d, _omega_weights(q, (c,), d, xs), True)[0]
+    return _like(x, *_omega_grid(q, (c,), d, _omega_weights(q, (c,), d, x), True)[0])
 
 
 def omega_family(q: int, cs, d: int, xs):
@@ -508,14 +476,6 @@ def omega_family(q: int, cs, d: int, xs):
     which depends on q, d and x only.
     """
     return [om for om, _ in _omega_grid(q, cs, d, _omega_weights(q, cs, d, xs), False)]
-
-
-def delta_curve(q: int, d: int, xs):
-    """Vectorized delta over an array of weights: (value, zhat1, xhat1) arrays."""
-    check_order(q)
-    _check_d(d)
-    gain, zh, xh, *_ = _delta_grid(q, d, _weights(xs))
-    return gain + math.log(q), zh, xh
 
 
 # ---------------------------------------------------------------------------
@@ -673,26 +633,19 @@ def gv_threshold(q: int, r: float) -> float:
     if r == 1.0:
         return (q - 1.0) / q
     target = r * math.log(q)
-    return _bisect(
-        lambda t: entropy_q(t, q) - target, 1e-300, (q - 1.0) / q
-    )
+    return _bisect(lambda t: _entropy_open(t, q) - target, 1e-300, (q - 1.0) / q)
 
 
 __all__ = [
     "BISECT_MAXIT",
     "BISECT_TOL",
-    "DeltaEval",
     "ENDPOINT_BAND",
-    "GrowthPoint",
     "Landmarks",
     "delta",
-    "delta_curve",
-    "domega",
     "entropy_q",
     "gv_threshold",
     "landmarks",
     "omega",
-    "omega_curve",
     "omega_family",
     "rho",
     "x1_right_endpoint",

@@ -72,17 +72,6 @@ class EnsembleParams:
 
 
 @dataclass(frozen=True)
-class CheckCoeffTable:
-    """Coefficients a(0..M) of the check-side generating polynomial power."""
-
-    q: int
-    d: int
-    N: int
-    M: int
-    coeffs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SpectrumTable:
     """Exact average weight distribution E[A(l)] for l = 0..n."""
 
@@ -112,8 +101,8 @@ def single_check_coeffs(q: int, d: int) -> list[int]:
     return out
 
 
-def check_coeffs(q: int, d: int, N: int, M: int) -> CheckCoeffTable:
-    """Coefficients of x**m, m = 0..M, in the N-check generating polynomial.
+def check_coeffs(q: int, d: int, N: int, M: int) -> tuple[int, ...]:
+    """Coefficients a(0..M) of x**m in the N-check generating polynomial.
 
     The polynomial is F = P**N for the single-check polynomial P, and
     P(0) = 1, so P*F' = N*P'*F gives J.C.P. Miller's recurrence for powers
@@ -149,7 +138,7 @@ def check_coeffs(q: int, d: int, N: int, M: int) -> CheckCoeffTable:
         row[m], rem = divmod(acc, m)
         if rem:
             raise AssertionError(f"inexact power recurrence at q={q}, d={d}, N={N}, m={m}")
-    return CheckCoeffTable(q=q, d=d, N=N, M=M, coeffs=tuple(row))
+    return tuple(row)
 
 
 def _average_terms(params: EnsembleParams, coeffs, last: int):
@@ -187,10 +176,8 @@ def avg_weight_distribution(params: EnsembleParams, n_cap: int = DEFAULT_N_CAP) 
             f"block length {params.n} exceeds the cap {n_cap}; "
             f"raise n_cap explicitly to proceed"
         )
-    table = check_coeffs(params.q, params.d, params.num_checks, params.num_sockets)
-    values = tuple(
-        Fraction(num, den) for num, den in _average_terms(params, table.coeffs, params.n)
-    )
+    coeffs = check_coeffs(params.q, params.d, params.num_checks, params.num_sockets)
+    values = tuple(Fraction(num, den) for num, den in _average_terms(params, coeffs, params.n))
     return SpectrumTable(params=params, values=values)
 
 
@@ -198,8 +185,8 @@ def avg_weight_at(params: EnsembleParams, l: int) -> Fraction:
     """Exact E[A(l)] for a single weight, with the coefficient row truncated at c*l."""
     if not 0 <= l <= params.n:
         raise ParameterError(f"weight {l} outside [0, {params.n}]")
-    table = check_coeffs(params.q, params.d, params.num_checks, params.c * l)
-    for num, den in _average_terms(params, table.coeffs, l):
+    coeffs = check_coeffs(params.q, params.d, params.num_checks, params.c * l)
+    for num, den in _average_terms(params, coeffs, l):
         pass  # the walk ends at weight l
     return Fraction(num, den)
 

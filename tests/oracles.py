@@ -24,7 +24,6 @@ from ldpc_spectra.growth import (
     INF,
     _check_c,
     _check_d,
-    _check_x,
     omega,
     rho,
     solve_gap_batch,
@@ -32,6 +31,10 @@ from ldpc_spectra.growth import (
 )
 from ldpc_spectra.sim import assemble_parity
 
+
+def _check_x(x: float) -> None:
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"normalized weight must lie in [0, 1], got {x}")
 
 def divergence(x: float, y: float) -> float:
     """Binary KL divergence D(x || y) in nats; +inf when y is a mismatched endpoint."""
@@ -64,7 +67,7 @@ def delta_two_arg(q: int, d: int, x: float, xhat: float) -> float:
 
 
 def domega_alt(q: int, c: int, d: int, x: float) -> float:
-    """Derivative of the growth rate in the weight form (equal to domega).
+    """Derivative of the growth rate in the weight form (equal to omega's slope).
 
     d omega/dx = ln[(x/(1-x))**(c-1) * ((1-xhat1)/xhat1)**c] + ln(q-1),
     xhat1 = (q-1) s/q at the gap s solved for x.  Check degrees d >= 2 are
@@ -107,7 +110,7 @@ def log_avg_upper_bound(params, l: int) -> float:
     """
     if not 0 <= l <= params.n:
         raise ParameterError(f"weight {l} outside [0, {params.n}]")
-    om = omega(params.q, params.c, params.d, l / params.n).omega
+    om, _ = omega(params.q, params.c, params.d, l / params.n)
     return om + params.c * beta(params.c * params.n, params.c * l)
 
 

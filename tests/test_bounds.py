@@ -15,7 +15,7 @@ from ldpc_spectra import (
     kappa,
     landmarks,
     min_distance_bound,
-    omega_curve,
+    omega,
     smallx_inequality_margin,
     zero_column_filtered_bound,
 )
@@ -69,7 +69,7 @@ def test_margin_matches_direct_formula():
     q, c, d = 2, 3, 6
     xs = np.array([1e-4, 1e-3, 0.01])
     rep = smallx_inequality_margin(q, c, d, xs)
-    om, _ = omega_curve(q, c, d, xs)
+    om, _ = omega(q, c, d, xs)
     bound = (c / 2 - 1) * xs * np.log(xs) + kappa(q, c, d) * xs
     assert np.allclose(rep.margin, bound - om, rtol=0, atol=1e-14)
 
@@ -83,7 +83,7 @@ def test_margin_grid_rejects_nan():
 
 def test_growth_rate_values_d2_route():
     xs = np.linspace(0.05, 0.45, 9)
-    got, _ = omega_curve(2, 3, 2, xs)
+    got, _ = omega(2, 3, 2, xs)
     want = (1 - 3 / 2) * np.array([entropy_q(float(x), 2) for x in xs])
     assert np.allclose(got, want, rtol=0, atol=1e-14)
 
@@ -91,7 +91,7 @@ def test_growth_rate_values_d2_route():
 
 def test_growth_rate_values_d2_rejects_nan():
     with pytest.raises(DomainError):
-        omega_curve(2, 3, 2, np.array([0.1, math.nan]))
+        omega(2, 3, 2, np.array([0.1, math.nan]))
 
 def test_delta_flag_parity_rule():
     # brute force over the stated parameter box

@@ -22,10 +22,8 @@ from ldpc_spectra import (
     EnsembleParams,
     avg_weight_distribution,
     cli,
-    domega,
     entropy_q,
     omega,
-    omega_curve,
     small_weight_scaling,
 )
 from ldpc_spectra.cli import figure_data, run
@@ -90,7 +88,7 @@ def test_growth_csv_matches_library(capsys):
     header, rows = parse_csv(out)
     assert header == ["x", "omega", "domega"]
     xs = np.linspace(0.1, 0.9, 5)
-    om, dom = omega_curve(2, 3, 6, xs)
+    om, dom = omega(2, 3, 6, xs)
     for row, o, dv in zip(rows, om, dom):
         assert float(row[1]) == o
         assert float(row[2]) == dv
@@ -152,8 +150,8 @@ def test_landmarks_residuals_equal_scalar_evaluations(capsys):
         code, out, _ = invoke(capsys, "landmarks", "--q", str(q), "--c", str(c), "--d", str(d))
         assert code == 0
         data = json.loads(out)["data"]
-        assert data["residuals"]["omega_at_x0"] == abs(omega(q, c, d, data["x0"]).omega)
-        assert data["residuals"]["domega_at_x3"] == abs(domega(q, c, d, data["x3"])), (q, c, d)
+        assert data["residuals"]["omega_at_x0"] == abs(omega(q, c, d, data["x0"])[0])
+        assert data["residuals"]["domega_at_x3"] == abs(omega(q, c, d, data["x3"])[1]), (q, c, d)
 
 def test_growth_resolves_weights_below_1e8(capsys):
     # omega ~ (c/2 - 1) x ln x < 0 falls smoothly from x = 0; the x = 0
@@ -245,8 +243,9 @@ def test_bounds_distance_needs_l0_and_alpha(capsys):
 
 
 def test_bounds_with_distance_report(capsys):
-    # the filtered bound starts at l0 = 2 whatever --l0 says
+    # the filtered bound starts at l0 = 2 whatever --l0 says, and needs none
     cases = {
+        "--n 60 --alpha 0.01 --filtered": (2, 0, -1, True),
         "--n 60 --l0 3 --alpha 0.02": (3, 1, -2, False),
         "--n 60 --l0 3 --alpha 0.02 --filtered": (2, 0, -1, True),
         "--n 600 --l0 3 --alpha 0.01": (3, 1, -2, False),
@@ -258,6 +257,16 @@ def test_bounds_with_distance_report(capsys):
         assert code == 0, argv
         md = json.loads(out)["data"]["min_distance"]
         assert (md["l0"], md["Delta"], md["exponent_term"], md["filtered"]) == want, argv
+    # --l0 is needed only without --filtered, --alpha always
+    errors = {
+        "--n 60 --alpha 0.01": "--n needs --l0 and --alpha for the distance bound",
+        "--n 60 --l0 3": "--n needs --l0 and --alpha for the distance bound",
+        "--n 60 --l0 3 --filtered": "--n needs --alpha for the distance bound",
+    }
+    for argv, message in errors.items():
+        code, out, err = invoke(capsys, "bounds", "--q", "2", "--c", "3", "--d", "6",
+                                *argv.split())
+        assert (code, out, json.loads(err)["message"]) == (2, "", message), argv
 
 
 def test_small_weight_vanishing_weights_exit_0(capsys):
@@ -314,6 +323,14 @@ def test_gv_limit_rejects_fractional_c(capsys):
         capsys, "gv-limit", "--q", "2", "--d-list", "7", "--redundancy", "0.5")
     assert code == 2
     assert "redundancy" in json.loads(err)["message"]
+
+
+def test_gv_limit_checks_each_degree_before_deriving_c(capsys):
+    # d = 0 gives c = 0, which used to be reported as a fractional c
+    for d in (0, 2):
+        code, out, err = invoke(capsys, "gv-limit", "--q", "2", "--d-list", f"6,{d}")
+        assert (code, out) == (2, ""), d
+        assert json.loads(err)["message"] == f"check degree must be at least 3, got {d}", d
 
 
 def test_small_weight_csv(capsys):
@@ -555,14 +572,13 @@ def test_public_namespace_pinned():
     names = sorted(name for name, value in vars(ldpc_spectra).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == [
-        "CapacityError", "CheckCoeffTable", "CodeSample", "DeltaEval", "DomainError",
-        "EnsembleParams", "FieldSpec", "GrowthPoint", "Landmarks", "MarginReport",
-        "MinDistanceBoundReport", "ParameterError", "ScalingReport", "SimReport",
-        "SpectrumTable", "WeightEnumeration", "avg_weight_at", "avg_weight_d2",
-        "avg_weight_distribution", "build_field", "check_coeffs", "delta", "delta_curve",
-        "domega", "entropy_q", "enumerate_weights", "exhaustive_ensemble", "gv_threshold",
-        "kappa", "landmarks", "log_fraction", "min_distance_bound", "monte_carlo", "omega",
-        "omega_curve", "omega_family", "rho", "sample_code", "single_check_coeffs",
+        "CapacityError", "CodeSample", "DomainError", "EnsembleParams", "FieldSpec",
+        "Landmarks", "MarginReport", "MinDistanceBoundReport", "ParameterError",
+        "ScalingReport", "SimReport", "SpectrumTable", "WeightEnumeration", "avg_weight_at",
+        "avg_weight_d2", "avg_weight_distribution", "build_field", "check_coeffs", "delta",
+        "entropy_q", "enumerate_weights", "exhaustive_ensemble", "gv_threshold", "kappa",
+        "landmarks", "log_fraction", "min_distance_bound", "monte_carlo", "omega",
+        "omega_family", "rho", "sample_code", "single_check_coeffs",
         "small_weight_order", "small_weight_scaling", "smallx_inequality_margin",
         "x1_right_endpoint", "xi", "zero_column_filtered_bound", "zeta",
     ]

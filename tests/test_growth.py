@@ -13,13 +13,10 @@ from ldpc_spectra import (
     DomainError,
     ParameterError,
     delta,
-    delta_curve,
-    domega,
     entropy_q,
     gv_threshold,
     landmarks,
     omega,
-    omega_curve,
     rho,
     x1_right_endpoint,
     xi,
@@ -213,26 +210,26 @@ def test_solve_gap_batch_matches_bisection():
 
 def test_delta_endpoint_cases():
     for q, d in FIG_PAIRS + [(4, 4)]:
-        assert delta(q, d, 0.0).value == pytest.approx(math.log(q), abs=1e-12)
+        assert delta(q, d, 0.0)[0] == pytest.approx(math.log(q), abs=1e-12)
         x1 = x1_right_endpoint(q, d)
-        at_x1 = delta(q, d, x1).value
+        at_x1 = delta(q, d, x1)[0]
         if q == 2 and d % 2:
             ref = math.log(2 * d) - d * entropy_q(1 / d, 2)
             assert at_x1 == pytest.approx(ref, abs=1e-12)
-            assert delta(q, d, (x1 + 1) / 2).value == -math.inf
-            assert delta(q, d, 1.0).value == rho(q, d, 1.0) == -math.inf
+            assert delta(q, d, (x1 + 1) / 2)[0] == -math.inf
+            assert delta(q, d, 1.0)[0] == rho(q, d, 1.0) == -math.inf
         else:
             assert at_x1 == pytest.approx(rho(q, d, 1.0), abs=1e-12)
 
 
 def test_delta_at_distribution_peak():
     for q, d in FIG_PAIRS:
-        assert delta(q, d, 1 - 1 / q).value == pytest.approx(0.0, abs=1e-11)
+        assert delta(q, d, 1 - 1 / q)[0] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_delta_known_value_odd_binary():
     ref = math.log(10) - 5 * entropy_q(0.2, 2)
-    assert delta(2, 5, 0.8).value == pytest.approx(ref, abs=1e-12)
+    assert delta(2, 5, 0.8)[0] == pytest.approx(ref, abs=1e-12)
 
 
 def test_delta_two_arg_examples():
@@ -254,7 +251,7 @@ def test_delta_two_arg_domain():
 
 def test_delta_is_grid_infimum():
     grid = np.linspace(1e-6, 1 - 1e-6, 10_001)
-    val = delta(2, 6, 0.3).value
+    val = delta(2, 6, 0.3)[0]
     two = min(delta_two_arg(2, 6, 0.3, float(xh)) for xh in grid)
     assert val <= two + 1e-12
     assert two - val < 1e-6
@@ -265,12 +262,12 @@ def test_delta_infimum_across_pairs():
     for q, d in FIG_PAIRS:
         x1 = x1_right_endpoint(q, d)
         for x in np.linspace(0.05, x1 * 0.95, 7):
-            ev = delta(q, d, float(x))
-            if ev.value == -math.inf:
+            val = delta(q, d, float(x))[0]
+            if val == -math.inf:
                 continue
             best = min(delta_two_arg(q, d, float(x), float(xh)) for xh in grid)
-            assert ev.value <= best + 1e-12, (q, d, x)
-            assert best - ev.value < 1e-4, (q, d, x)
+            assert val <= best + 1e-12, (q, d, x)
+            assert best - val < 1e-4, (q, d, x)
 
 
 def test_xhat1_lies_in_interior_bracket():
@@ -282,16 +279,16 @@ def test_xhat1_lies_in_interior_bracket():
         peak = 1 - 1 / q
         x1 = x1_right_endpoint(q, d)
         for x in np.linspace(1e-3, x1 * (1 - 1e-3), 211):
-            ev = delta(q, d, float(x))
-            if ev.value == -math.inf:
+            val, _, xhat1 = delta(q, d, float(x))
+            if val == -math.inf:
                 continue
             if x < peak:
-                assert x - 1e-12 < ev.xhat1 < peak + 1e-12, (q, d, x, ev.xhat1)
+                assert x - 1e-12 < xhat1 < peak + 1e-12, (q, d, x, xhat1)
             elif x > peak:
                 if d % 2:
-                    assert x - 1e-12 < ev.xhat1 < 1, (q, d, x, ev.xhat1)
+                    assert x - 1e-12 < xhat1 < 1, (q, d, x, xhat1)
                 else:
-                    assert peak - 1e-12 < ev.xhat1 < x + 1e-12, (q, d, x, ev.xhat1)
+                    assert peak - 1e-12 < xhat1 < x + 1e-12, (q, d, x, xhat1)
 
 
 def test_delta_low_degree_rejected():
@@ -303,11 +300,19 @@ def test_delta_low_degree_rejected():
         delta(2, 6, 1.01)
 
 
+def _same_bits(floats, arrays, i):
+    # a float call against element i of an array call, NaN and -0.0 included
+    assert all(type(v) is float for v in floats), floats
+    return [np.float64(v).tobytes() for v in floats] == [a[i].tobytes() for a in arrays]
+
+
 def test_delta_curve_matches_scalar():
-    xs = np.linspace(0.0, 1.0, 101)
-    vals, zhat1, xhat1 = delta_curve(2, 6, xs)
-    for i in (0, 13, 50, 88, 100):
-        assert vals[i] == delta(2, 6, float(xs[i])).value
+    for q, d in ((2, 6), (2, 5), (3, 6)):
+        xs = np.linspace(0.0, 1.0, 101)
+        curve = delta(q, d, xs)
+        assert all(type(a) is np.ndarray and a.shape == xs.shape for a in curve)
+        for i in range(xs.size):
+            assert _same_bits(delta(q, d, float(xs[i])), curve, i), (q, d, i)
 
 
 # ---------------------------------------------------------------------------
@@ -316,44 +321,51 @@ def test_delta_curve_matches_scalar():
 
 def test_omega_endpoint_values():
     for q, c, d in FIG_TRIPLES:
-        assert omega(q, c, d, 0.0).omega == 0.0
+        assert omega(q, c, d, 0.0)[0] == 0.0
         peak = 1 - 1 / q
         want = (1 - c / d) * math.log(q)
-        assert omega(q, c, d, peak).omega == pytest.approx(want, abs=1e-12)
+        assert omega(q, c, d, peak)[0] == pytest.approx(want, abs=1e-12)
         x1 = x1_right_endpoint(q, d)
-        at_x1 = omega(q, c, d, x1).omega
+        at_x1 = omega(q, c, d, x1)[0]
         if q == 2 and d % 2:
             ref = (1 - c) * entropy_q(1 / d, 2) + (c / d) * math.log(d)
             assert at_x1 == pytest.approx(ref, abs=1e-12)
-            assert omega(q, c, d, (x1 + 1) / 2).omega == -math.inf
+            assert omega(q, c, d, (x1 + 1) / 2)[0] == -math.inf
         else:
             ref = math.log(q - 1) + (c / d) * (rho(q, d, 1.0) - math.log(q))
             assert at_x1 == pytest.approx(ref, abs=1e-12)
 
 
 def test_omega_known_values():
-    assert omega(2, 3, 6, 0.5).omega == pytest.approx(math.log(2) / 2, abs=1e-13)
+    assert omega(2, 3, 6, 0.5)[0] == pytest.approx(math.log(2) / 2, abs=1e-13)
     ref = -2 * entropy_q(0.2, 2) + (3 / 5) * math.log(5)
-    assert omega(2, 3, 5, 0.8).omega == pytest.approx(ref, abs=1e-12)
+    assert omega(2, 3, 5, 0.8)[0] == pytest.approx(ref, abs=1e-12)
 
 
 def test_omega_symmetry_binary_even_d():
     xs = np.linspace(0.0, 1.0, 1000)
     for c in (2, 3, 4):
         for d in (4, 6, 8):
-            fwd, _ = omega_curve(2, c, d, xs)
-            rev, _ = omega_curve(2, c, d, 1.0 - xs)
+            fwd, _ = omega(2, c, d, xs)
+            rev, _ = omega(2, c, d, 1.0 - xs)
             assert np.nanmax(np.abs(fwd - rev)) < 1e-10, (c, d)
 
 
 def test_omega_curve_matches_scalar():
+    for q, c, d in ((3, 2, 6), (2, 3, 5), (2, 3, 6), (4, 3, 2)):
+        xs = np.linspace(0.0, 1.0, 101)
+        curve = omega(q, c, d, xs)
+        assert all(type(a) is np.ndarray and a.shape == xs.shape for a in curve)
+        for i in range(xs.size):
+            assert _same_bits(omega(q, c, d, float(xs[i])), curve, i), (q, c, d, i)
+
+
+def test_entropy_curve_matches_scalar():
     xs = np.linspace(0.0, 1.0, 101)
-    om, dom = omega_curve(3, 2, 6, xs)
-    for i in (0, 25, 50, 75, 100):
-        pt = omega(3, 2, 6, float(xs[i]))
-        assert om[i] == pt.omega
-        if not math.isnan(pt.domega):
-            assert dom[i] == pt.domega
+    for q in (2, 3, 256):
+        curve = entropy_q(xs, q)
+        for i in range(xs.size):
+            assert _same_bits((entropy_q(float(xs[i]), q),), (curve,), i), (q, i)
 
 
 def test_omega_d2_slope_closed_form():
@@ -365,13 +377,12 @@ def test_omega_d2_slope_closed_form():
     limits = {1: (math.inf, -math.inf), 2: (0.0, 0.0), 3: (-math.inf, math.inf)}
     for q in (2, 3, 4):
         for c in (1, 2, 3):
-            om, dom = omega_curve(q, c, 2, xs)
+            om, dom = omega(q, c, 2, xs)
             want = (1 - c / 2) * (math.log(q - 1) + np.log((1 - inner) / inner))
             assert np.allclose(dom[1:-1], want, rtol=1e-13, atol=1e-15), (q, c)
             assert (dom[0], dom[-1]) == limits[c], (q, c)
             for i in (0, 7, 20):
-                pt = omega(q, c, 2, float(xs[i]))
-                assert (pt.omega, pt.domega) == (om[i], dom[i]), (q, c, i)
+                assert omega(q, c, 2, float(xs[i])) == (om[i], dom[i]), (q, c, i)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +395,7 @@ def test_omega_family_shares_one_solve_exactly():
     for q, d in FIG_PAIRS + [(3, 2)]:
         family = omega_family(q, (1, 2, 3), d, xs)
         for c, om in zip((1, 2, 3), family):
-            assert np.array_equal(om, omega_curve(q, c, d, xs)[0], equal_nan=True), (q, c, d)
+            assert np.array_equal(om, omega(q, c, d, xs)[0], equal_nan=True), (q, c, d)
     shapes = {1: ["x", "delta_2_5", "delta_2_6", "delta_3_5", "delta_3_6"]}
     for fig in range(1, 6):
         header, rows = figure_data(fig)
@@ -403,34 +414,34 @@ def test_omega_curve_rejects_nan():
     # a NaN weight used to pass the range check and come back with an
     # unset slot of np.empty_like as its slope
     with pytest.raises(DomainError):
-        omega_curve(2, 3, 6, [0.1, math.nan, 0.2])
+        omega(2, 3, 6, [0.1, math.nan, 0.2])
 
 
 def test_delta_curve_rejects_nan():
     # a NaN weight used to take the x = 0 values: delta = ln 3, zhat1 = 1
     with pytest.raises(DomainError):
-        delta_curve(3, 6, [math.nan])
+        delta(3, 6, [math.nan])
 
 def test_domega_zero_at_peak():
     for q, c, d in FIG_TRIPLES:
-        assert abs(domega(q, c, d, 1 - 1 / q)) < 1e-10
+        assert abs(omega(q, c, d, 1 - 1 / q)[1]) < 1e-10
 
 
 def test_domega_limits_at_zero():
     for q, d in FIG_PAIRS:
-        assert domega(q, 1, d, 0.0) == math.inf
-        assert domega(q, 2, d, 0.0) == pytest.approx(math.log(d - 1), abs=1e-13)
-        assert domega(q, 3, d, 0.0) == -math.inf
+        assert omega(q, 1, d, 0.0)[1] == math.inf
+        assert omega(q, 2, d, 0.0)[1] == pytest.approx(math.log(d - 1), abs=1e-13)
+        assert omega(q, 3, d, 0.0)[1] == -math.inf
 
 
 def test_domega_limits_at_right_endpoint():
     # binary even degree keeps a finite or signed-infinite limit at 1
-    assert domega(2, 1, 6, 1.0) == -math.inf
-    assert domega(2, 2, 6, 1.0) == pytest.approx(-math.log(5), abs=1e-13)
-    assert domega(2, 3, 6, 1.0) == math.inf
+    assert omega(2, 1, 6, 1.0)[1] == -math.inf
+    assert omega(2, 2, 6, 1.0)[1] == pytest.approx(-math.log(5), abs=1e-13)
+    assert omega(2, 3, 6, 1.0)[1] == math.inf
     # otherwise the slope falls to -inf at the right endpoint
-    assert domega(3, 2, 6, 1.0) == -math.inf
-    assert domega(2, 2, 5, 0.8) == -math.inf
+    assert omega(3, 2, 6, 1.0)[1] == -math.inf
+    assert omega(2, 2, 5, 0.8)[1] == -math.inf
 
 
 def test_domega_matches_finite_differences():
@@ -438,10 +449,10 @@ def test_domega_matches_finite_differences():
     for q, c, d in FIG_TRIPLES:
         x1 = x1_right_endpoint(q, d)
         xs = np.linspace(0.05, x1 - 0.05, 100)
-        om_p, _ = omega_curve(q, c, d, xs + h)
-        om_m, _ = omega_curve(q, c, d, xs - h)
+        om_p, _ = omega(q, c, d, xs + h)
+        om_m, _ = omega(q, c, d, xs - h)
         fd = (om_p - om_m) / (2 * h)
-        _, dom = omega_curve(q, c, d, xs)
+        _, dom = omega(q, c, d, xs)
         assert np.max(np.abs(dom - fd)) < 1e-6, (q, c, d)
 
 
@@ -449,7 +460,7 @@ def test_domega_two_forms_agree():
     for q, c, d in FIG_TRIPLES:
         x1 = x1_right_endpoint(q, d)
         for x in np.linspace(0.03, x1 - 0.03, 41):
-            a = domega(q, c, d, float(x))
+            a = omega(q, c, d, float(x))[1]
             b = domega_alt(q, c, d, float(x))
             assert abs(a - b) < 1e-10, (q, c, d, x)
 
@@ -458,11 +469,11 @@ def test_domega_two_forms_agree_for_cycle_codes():
     # at q = 2, c = 3, x = 0.1 the gap solves s**2 = 0.2 (1 + (1 - s)**2),
     # so s = 1/2, xhat1 = 1/4, and both forms give 2 ln(1/9) + 3 ln 3 = -ln 3
     assert domega_alt(2, 3, 2, 0.1) == pytest.approx(-math.log(3.0), rel=1e-14)
-    assert domega(2, 3, 2, 0.1) == pytest.approx(-math.log(3.0), rel=1e-14)
+    assert omega(2, 3, 2, 0.1)[1] == pytest.approx(-math.log(3.0), rel=1e-14)
     for q in (2, 3, 5, 256):
         for c in (1, 2, 3, 6):
             for x in (1e-9, 0.01, 0.1, 0.4, 1.0 - 1.0 / q, 0.9, 0.999):
-                want = domega(q, c, 2, x)
+                want = omega(q, c, 2, x)[1]
                 assert domega_alt(q, c, 2, x) == pytest.approx(want, rel=1e-12, abs=1e-12), (q, c, x)
 
 
@@ -510,7 +521,7 @@ ORACLE_XS = (1e-300, 1e-100, 1e-20, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.6, 0.9
 def test_omega_matches_decimal_oracle(q, c, d):
     x1 = x1_right_endpoint(q, d)
     xs = np.array([x for x in ORACLE_XS if x < x1 - 1e-8])
-    om, dom = omega_curve(q, c, d, xs)
+    om, dom = omega(q, c, d, xs)
     for x, got, slope in zip(xs, om, dom):
         want, want_slope = _decimal_oracle(q, c, d, float(x))
         assert abs(got - want) <= 1e-12 * abs(want), (x, got, want)
@@ -518,7 +529,7 @@ def test_omega_matches_decimal_oracle(q, c, d):
 
 
 def test_domega_nan_beyond_domain():
-    assert math.isnan(domega(2, 3, 5, 0.9))
+    assert math.isnan(omega(2, 3, 5, 0.9)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +599,8 @@ def test_xi_positive_for_binary_c2():
 def test_landmark_residuals_and_ordering():
     for q, c, d in [(2, 3, 6), (2, 4, 8), (3, 3, 6), (2, 3, 5), (2, 24, 48)]:
         lm = landmarks(q, c, d)
-        assert abs(omega(q, c, d, lm.x0).omega) < 1e-10
-        assert abs(domega(q, c, d, lm.x3)) < 1e-10
+        assert abs(omega(q, c, d, lm.x0)[0]) < 1e-10
+        assert abs(omega(q, c, d, lm.x3)[1]) < 1e-10
         assert abs(xi(q, c, d, lm.s2)) < 1e-10
         assert lm.zhat2 == 1 - lm.s2
         assert 0 < lm.x3 < lm.x2 < 1 - 1 / q
@@ -614,7 +625,7 @@ def test_landmarks_shape_the_curve_across_ensembles():
         xs = np.linspace(0.0, top, 1003)[1:-1]
         lm = landmarks(q, c, d)
         assert 0 < lm.x3 < lm.x2 < top and lm.x3 < lm.x0 <= top, (q, c, d)
-        om, dom = omega_curve(q, c, d, xs)
+        om, dom = omega(q, c, d, xs)
         assert np.all(np.where(xs < lm.x3, dom < 0, dom > 0)), (q, c, d)
         assert np.all(np.where(xs < lm.x0, om < 0, om > 0)), (q, c, d)
         rise = np.diff(dom)
@@ -626,7 +637,7 @@ def test_domega_zeroes_x3_at_large_d():
     # the gap solve stops at a relative width, so the slope residual stays
     # small where the slope is steep in the tilt (large d, x3 near 0)
     for q, c, d in [(2, 3, 6), (3, 3, 6), (2, 3, 48), (2, 3, 96), (4, 3, 48)]:
-        assert abs(domega(q, c, d, landmarks(q, c, d).x3)) < 1e-10, (q, c, d)
+        assert abs(omega(q, c, d, landmarks(q, c, d).x3)[1]) < 1e-10, (q, c, d)
 
 
 def _bisect_to_floor(f, lo, hi):
@@ -649,10 +660,10 @@ def nested_landmarks(q, c, d):
     # the former solve, kept as the reference: bisection in x on omega and
     # its slope, each evaluation running its own tilt bisection
     x_sym = (q - 1) / q
-    x3 = _bisect_to_floor(lambda x: omega(q, c, d, x).domega, 1e-6, x_sym - 1e-6)
+    x3 = _bisect_to_floor(lambda x: omega(q, c, d, x)[1], 1e-6, x_sym - 1e-6)
     if c == d:
         return x3, x_sym
-    return x3, _bisect_to_floor(lambda x: omega(q, c, d, x).omega, x3, x_sym)
+    return x3, _bisect_to_floor(lambda x: omega(q, c, d, x)[0], x3, x_sym)
 
 
 @pytest.mark.parametrize("q, c, d", [
@@ -675,7 +686,7 @@ def test_landmark_x0_against_grid_scan():
     lo, hi = 1e-6, 0.5
     for _ in range(3):
         xs = np.linspace(lo, hi, 1000)
-        om, _ = omega_curve(q, c, d, xs)
+        om, _ = omega(q, c, d, xs)
         idx = int(np.nonzero(om > 0)[0][0])
         lo, hi = float(xs[idx - 1]), float(xs[idx])
     mid = 0.5 * (lo + hi)
@@ -728,11 +739,11 @@ def test_second_derivative_sign_follows_xi():
         lm = landmarks(q, c, d)
         for frac in (0.2, 0.5, 0.8):
             x = lm.x2 * frac
-            om, _ = omega_curve(q, c, d, np.array([x - h, x, x + h]))
+            om, _ = omega(q, c, d, np.array([x - h, x, x + h]))
             assert om[0] - 2 * om[1] + om[2] > 0, (q, c, d, x)
         for frac in (0.25, 0.6):
             x = lm.x2 + (lm.x1 - lm.x2) * frac
-            om, _ = omega_curve(q, c, d, np.array([x - h, x, x + h]))
+            om, _ = omega(q, c, d, np.array([x - h, x, x + h]))
             assert om[0] - 2 * om[1] + om[2] < 0, (q, c, d, x)
 
 

@@ -132,7 +132,7 @@ def test_check_coeffs_match_polynomial_oracle():
         for d in range(1, 7):
             for big_n in range(5):
                 max_m = min(big_n * d, 14)
-                got = check_coeffs(q, d, big_n, max_m).coeffs
+                got = check_coeffs(q, d, big_n, max_m)
                 want = oracle_coeffs(q, d, big_n, max_m)
                 assert [Fraction(v) for v in got] == want, (q, d, big_n)
 
@@ -146,7 +146,7 @@ def test_check_coeffs_match_convolution():
                 full = big_n * d
                 want = convolution_coeffs(q, d, big_n, full + 4)
                 for max_m in {0, 3, max(full - 1, 0), full, full + 4}:
-                    got = check_coeffs(q, d, big_n, max_m).coeffs
+                    got = check_coeffs(q, d, big_n, max_m)
                     assert list(got) == want[: max_m + 1], (q, d, big_n, max_m)
 
 
@@ -155,7 +155,7 @@ def test_weight_two_closed_form():
     for q in (2, 3, 5):
         for d in range(2, 8):
             for big_n in (1, 7, 40):
-                got = check_coeffs(q, d, big_n, 2).coeffs
+                got = check_coeffs(q, d, big_n, 2)
                 assert got[2] == big_n * math.comb(d, 2) * (q - 1)
 
 
@@ -216,7 +216,7 @@ def test_incremental_assembly_matches_comb_formula():
         (2, 3, 6, 600), (4, 3, 6, 600), (3, 3, 2, 200), (5, 1, 3, 9), (3, 2, 1, 4),
     ]:
         params = EnsembleParams(q=q, c=c, d=d, n=n)
-        coeffs = check_coeffs(q, d, params.num_checks, params.num_sockets).coeffs
+        coeffs = check_coeffs(q, d, params.num_checks, params.num_sockets)
         want = [comb_average(params, coeffs, l) for l in range(n + 1)]
         assert list(avg_weight_distribution(params).values) == want, (q, c, d, n)
 
