@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
@@ -43,10 +42,11 @@ class _Parser(argparse.ArgumentParser):
 # Serialization helpers
 #
 # JSON is written by a recursive writer that appends text parts (keys
-# sorted, two-space indent, strings through json's C string escaper), and
-# CSV as one joined line per row.  json.dumps with indent runs json's
-# pure-Python encoder, about twice as slow; it and csv.writer stay in the
-# tests as oracles of the bytes.
+# sorted, two-space indent, strings through json's C string escaper but
+# for digit strings, which hold nothing to escape), and CSV as one joined
+# line per row.  json.dumps with indent runs json's pure-Python encoder,
+# about twice as slow; it and csv.writer stay in the tests as oracles of
+# the bytes.
 # ---------------------------------------------------------------------------
 
 
@@ -56,33 +56,41 @@ _DIGIT_CHUNK = 600
 _CHUNK_BASE = 10**_DIGIT_CHUNK
 
 
+class _Digits(str):
+    """A string of decimal digits, which JSON quotes as it is."""
+
+    __slots__ = ()
+
+
 def digit_string(value: int) -> str:
     """Decimal digits of a nonnegative integer of any length.
 
     str() refuses integers longer than the interpreter's digit limit
     (sys.get_int_max_str_digits, 4300 digits by default), which exact
     spectra pass at moderate n.  Past the limit this peels off fixed-width
-    chunks with divmod instead, which leaves the limit alone.
+    chunks with divmod instead, which leaves the limit alone.  The result
+    is marked as digits, so the JSON writer skips the escaper for it.
     """
     # Python 3.10 before 3.10.7 has neither the limit nor its getter
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # floor(bits * log10(2)) + 1 digits at most, and 0.30103 > log10(2)
     if not limit or value.bit_length() * 30103 // 100000 < limit:
-        return str(value)
+        return _Digits(value)
     chunks = []
     while value >= _CHUNK_BASE:
         value, low = divmod(value, _CHUNK_BASE)
         chunks.append(f"{low:0{_DIGIT_CHUNK}d}")
     chunks.append(str(value))
-    return "".join(reversed(chunks))
+    return _Digits("".join(reversed(chunks)))
 
 
-def fraction_to_float(value: Fraction) -> float:
-    """Correctly rounded double for a rational, inf on overflow."""
+def ratio_to_float(num: int, den: int) -> float:
+    """Correctly rounded double of num/den for den > 0, as float(Fraction)
+    gives it, and inf on overflow."""
     try:
-        return float(value)
+        return num / den
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def _json_parts(value, parts: list, newline: str) -> None:
@@ -94,7 +102,7 @@ def _json_parts(value, parts: list, newline: str) -> None:
     shows too, and numpy scalars their Python values.
     """
     if isinstance(value, str):
-        parts.append(_json_string(value))
+        parts.append('"' + value + '"' if type(value) is _Digits else _json_string(value))
     elif isinstance(value, float):
         text = float.__repr__(value)
         parts.append(text if math.isfinite(value) else f'"{text}"')
@@ -191,7 +199,8 @@ def _write_output(path: str | None, text: str) -> None:
 #
 # Each returns (header, rows, data): rows of typed cells (int, string,
 # Python float) for CSV, and the JSON data block, whose tables are those
-# same rows keyed by the header.  run renders one of the two.
+# same rows keyed by the header.  run renders one of the two, and the
+# curve commands, CSV by default, build their data block only for JSON.
 # ---------------------------------------------------------------------------
 
 
@@ -211,10 +220,10 @@ def _columns(*columns) -> list[tuple]:
 
 def _fraction_table(key: str, keys, values) -> tuple[list[str], list[list]]:
     header = [key, "numerator", "denominator", "approx"]
-    rows = [
-        [k, digit_string(v.numerator), digit_string(v.denominator), fraction_to_float(v)]
-        for k, v in zip(keys, values)
-    ]
+    rows = []
+    for k, v in zip(keys, values):
+        num, den = v.numerator, v.denominator
+        rows.append([k, digit_string(num), digit_string(den), ratio_to_float(num, den)])
     return header, rows
 
 
@@ -245,19 +254,20 @@ def _grid(args) -> np.ndarray:
     return np.linspace(args.xmin, args.xmax, args.steps)
 
 
-def _curve(header, xs, columns):
+def _curve(args, header, xs, columns):
     rows = _columns(xs, *columns)
-    return header, rows, {"curve": _records(header, rows)}
+    data = {"curve": _records(header, rows)} if args.format == "json" else None
+    return header, rows, data
 
 
 def _cmd_growth(args):
     xs = _grid(args)
-    return _curve(["x", "omega", "domega"], xs, growth.omega(args.q, args.c, args.d, xs))
+    return _curve(args, ["x", "omega", "domega"], xs, growth.omega(args.q, args.c, args.d, xs))
 
 
 def _cmd_delta(args):
     xs = _grid(args)
-    return _curve(["x", "delta", "zhat1", "xhat1"], xs, growth.delta(args.q, args.d, xs))
+    return _curve(args, ["x", "delta", "zhat1", "xhat1"], xs, growth.delta(args.q, args.d, xs))
 
 
 def _cmd_landmarks(args):

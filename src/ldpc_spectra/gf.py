@@ -58,9 +58,15 @@ def _sum_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The (q, q) sums and the (p, q) multiples c*a of the encodings of GF(p**k).
 
     Both are digit-wise mod p on the base-p digits (constant term first),
-    with XOR for the sums in characteristic 2.
+    with XOR for the sums in characteristic 2.  In a prime field the
+    encodings are their own single digits.
     """
     q = p**k
+    if k == 1:
+        # uint32 holds every sum and product, and divides faster than int64
+        a = np.arange(q, dtype=np.uint32)
+        add, scaled = np.add.outer(a, a) % p, np.multiply.outer(a, a) % p
+        return add.astype(np.uint8), scaled.astype(np.uint8)
     weights = p ** np.arange(k)
     digits = np.arange(q)[:, None] // weights % p
     if p == 2:

@@ -10,10 +10,11 @@ where a(m) is the coefficient of x**m in the generating polynomial of the
 check-side weight counts, itself the N-th power (N = c*n/d checks) of a
 fixed degree-d polynomial whose coefficients count single-check solutions
 by weight.  The coefficients come from Miller's recurrence for powers of a
-power series, O(c*n*d) big-integer steps, and one walk over l updates the
-binomials and the power of q-1 by exact integer steps, so a full table
-costs O(c*n*d) steps plus the reduction of its n+1 Fractions.  Everything
-here is exact integer and Fraction arithmetic.
+power series, O(c*n*d) big-integer steps.  One walk over l carries
+C(n, l) / C(c*n, c*l) in lowest terms by word-sized steps, and each
+a(c*l) sheds the power of q-1 it is known to hold, so every E[A(l)] comes
+out in lowest terms after one gcd: a full table costs O(c*n*d) steps plus
+n+1 gcds.  Everything here is exact integer and Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .gf import check_order
 # largest multiple of 1000 at which (q, c, d) = (4, 3, 6) takes no longer
 # than (2, 3, 6) at n = 2000 took with the former N-fold convolution.
 # Measured with in-process `spectrum` runs on a 2-core host, best of 3:
-# (2, 3, 6) n = 2000 took 4.3 s before; (4, 3, 6) takes 2.9 s at n = 3000
-# and 5.1 s at n = 4000, most of it Fraction reduction and digit strings.
-DEFAULT_N_CAP = 3000
+# (2, 3, 6) n = 2000 took 4.3 s before; (4, 3, 6) takes 1.5 s at n = 3000,
+# 3.0 s at n = 4000 and 5.3 s at n = 5000, most of it the one gcd per
+# weight and the digit strings.
+DEFAULT_N_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -141,25 +143,113 @@ def check_coeffs(q: int, d: int, N: int, M: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _average_terms(params: EnsembleParams, coeffs, last: int):
-    """Yield E[A(l)] for l = 0..last as unreduced (numerator, denominator).
+def _radical(m: int) -> int:
+    """The product of the distinct primes of m >= 1, by trial division."""
+    rad, f = 1, 2
+    while f * f <= m:
+        if m % f == 0:
+            rad *= f
+            while m % f == 0:
+                m //= f
+        f += 1
+    return rad * m  # what is left of m is 1 or a prime
 
-    One walk over l updates C(n, l), C(c*n, c*l) and (q-1)**((c-1)*l) by
-    exact integer steps instead of recomputing them at every weight.
-    C(c*n, c*l) takes the c factors of a step as one product of small
-    numerators and one of small denominators (math.perm): one big
-    multiplication and one exact division per weight.
+
+_ZERO = Fraction(0)
+
+
+def _average_values(params: EnsembleParams, coeffs, first: int, last: int):
+    """Yield E[A(l)] for l = first..last, each a Fraction in lowest terms.
+
+    One walk over l carries C(n, l) / C(c*n, c*l) in lowest terms: its
+    part made of the primes of q-1 as a small fraction pn/pd, and the rest
+    as two coprime integers top/bottom free of those primes.  A step
+    multiplies by the word-sized ratio
+    perm(c*l - 1, c - 1) / perm(c*n - c*l + c - 1, c - 1), reduced by gcds
+    of word-sized numbers against the big ones.  A weight whose
+    coefficient is zero leaves its step to the next weight, so for q = 2
+    or d = 2 the walk reduces at every other weight.
+
+    a(c*l) is divisible by (q-1)**ceil(c*l/d): each check that meets a
+    weight-l word in i >= 1 edges contributes b(i) = (q-1) * ((q-1)**(i-1)
+    + (-1)**i) / q with gcd(q, q-1) = 1, and the word meets at least
+    ceil(c*l/d) checks.  That power divides out exactly, and gcds with a
+    fixed power of q-1 strip the rest of the primes of q-1.  What is left
+    of a(c*l) is then coprime to every power of those primes, so one gcd
+    with bottom finishes the term, coprime by construction.
     """
-    q, c, n = params.q, params.c, params.n
+    q, c, d, n = params.q, params.c, params.d, params.n
     cn = c * n
-    step = (q - 1) ** (c - 1)
-    binom_n = binom_cn = power = 1
+    q1 = q - 1
+    rad = _radical(q1)
+    # each prime of q-1 divides chunk to a higher power than the product
+    # of two steps' numbers, so gcd(x, chunk) is the whole (q-1)-smooth
+    # part of such a product
+    chunk = q1 ** (cn ** (2 * c - 2)).bit_length()
+    # a Fraction whose terms are coprime by construction is built without
+    # the gcd that Fraction(num, den) runs
+    new_fraction = object.__new__
+    gcd, perm = math.gcd, math.perm
+    top = bottom = pn = pd = up = down = 1
+    passed = False
     for l in range(last + 1):
+        cl = c * l
+        rest = coeffs[cl]
         if l:
-            binom_n = binom_n * (n - l + 1) // l
-            binom_cn = binom_cn * math.perm(cn - c * l + c, c) // math.perm(c * l, c)
-            power *= step
-        yield binom_n * coeffs[c * l], binom_cn * power
+            up *= perm(cl - 1, c - 1)
+            down *= perm(cn - cl + c - 1, c - 1)
+            # a zero weight leaves its step to the next weight, which then
+            # reduces both
+            passed = not rest and not passed
+            if not passed:
+                if rad > 1:
+                    g = gcd(up, chunk)
+                    h = gcd(down, chunk)
+                    up //= g
+                    down //= h
+                    pn *= g
+                    pd *= h
+                    g = gcd(pn, pd)
+                    pn //= g
+                    pd //= g
+                g = gcd(up, down)
+                up //= g
+                down //= g
+                g = gcd(up, bottom)
+                h = gcd(down, top)
+                top = top // h * (up // g)
+                bottom = bottom // g * (down // h)
+                up = down = 1
+        if l < first:
+            continue
+        if not rest:
+            yield _ZERO
+            continue
+        num, den = pn, pd
+        if rad > 1:
+            known = -(-cl // d)
+            rest, rem = divmod(rest, q1**known)
+            if rem:
+                raise AssertionError(f"(q-1)**{known} does not divide a({cl}) at {params}")
+            g = gcd(rest, chunk)
+            while g > 1:
+                rest //= g
+                num *= g
+                # a prime of q-1 whose power in chunk divides rest may divide it again
+                g = gcd(rest, chunk) if (chunk // g) % rad else 1
+            scale = cl - l - known
+            if scale > 0:
+                den *= q1**scale
+            else:
+                num *= q1**-scale
+            g = gcd(num, den)
+            num //= g
+            den //= g
+        g = gcd(rest, bottom)
+        value = new_fraction(Fraction)
+        value._numerator = top * (rest // g) * num
+        value._denominator = bottom // g * den
+        yield value
 
 
 def avg_weight_distribution(params: EnsembleParams, n_cap: int = DEFAULT_N_CAP) -> SpectrumTable:
@@ -169,7 +259,7 @@ def avg_weight_distribution(params: EnsembleParams, n_cap: int = DEFAULT_N_CAP) 
     ------
     CapacityError
         If n exceeds n_cap; the table takes O(c*n*d) big-integer steps on
-        numbers of O(c*n*log q) bits, plus the reduction of n+1 Fractions.
+        numbers of O(c*n*log q) bits, plus one gcd per weight.
     """
     if params.n > n_cap:
         raise CapacityError(
@@ -177,7 +267,7 @@ def avg_weight_distribution(params: EnsembleParams, n_cap: int = DEFAULT_N_CAP) 
             f"raise n_cap explicitly to proceed"
         )
     coeffs = check_coeffs(params.q, params.d, params.num_checks, params.num_sockets)
-    values = tuple(Fraction(num, den) for num, den in _average_terms(params, coeffs, params.n))
+    values = tuple(_average_values(params, coeffs, 0, params.n))
     return SpectrumTable(params=params, values=values)
 
 
@@ -186,9 +276,8 @@ def avg_weight_at(params: EnsembleParams, l: int) -> Fraction:
     if not 0 <= l <= params.n:
         raise ParameterError(f"weight {l} outside [0, {params.n}]")
     coeffs = check_coeffs(params.q, params.d, params.num_checks, params.c * l)
-    for num, den in _average_terms(params, coeffs, l):
-        pass  # the walk ends at weight l
-    return Fraction(num, den)
+    (value,) = _average_values(params, coeffs, l, l)
+    return value
 
 
 def avg_weight_d2(params: EnsembleParams) -> SpectrumTable:

@@ -4,8 +4,9 @@ These are scalar evaluations of the paper's quantities by a route the
 package does not take: the tilted two-argument objective whose infimum is
 delta, the weight form of the growth rate's derivative, the Stirling-gap
 upper bound on (1/n) ln E[A(l)], the Taylor slack behind the
-small-weight bound, and the parity matrices of every ensemble
-configuration.  No subcommand needs them, so they live here.
+small-weight bound, the parity matrices of every ensemble
+configuration, and the exact spectrum assembled as unreduced integer
+pairs that Fraction reduces.  No subcommand needs them, so they live here.
 """
 
 from __future__ import annotations
@@ -112,6 +113,27 @@ def log_avg_upper_bound(params, l: int) -> float:
         raise ParameterError(f"weight {l} outside [0, {params.n}]")
     om, _ = omega(params.q, params.c, params.d, l / params.n)
     return om + params.c * beta(params.c * params.n, params.c * l)
+
+
+def fraction_average(params, coeffs) -> list[Fraction]:
+    """E[A(l)] for l = 0..n, each an unreduced pair that Fraction reduces.
+
+    One walk over l updates C(n, l), C(c*n, c*l) and (q-1)**((c-1)*l) by
+    exact integer steps, and Fraction(num, den) runs one full-size gcd per
+    weight.  coeffs holds the check-side coefficients a(0..c*n).
+    """
+    q, c, n = params.q, params.c, params.n
+    cn = c * n
+    step = (q - 1) ** (c - 1)
+    binom_n = binom_cn = power = 1
+    out = []
+    for l in range(n + 1):
+        if l:
+            binom_n = binom_n * (n - l + 1) // l
+            binom_cn = binom_cn * math.perm(cn - c * l + c, c) // math.perm(c * l, c)
+            power *= step
+        out.append(Fraction(binom_n * coeffs[c * l], binom_cn * power))
+    return out
 
 
 def taylor_check(d: int, x_grid) -> float:

@@ -624,16 +624,25 @@ def test_oversized_grids_exit_3_without_output(tmp_path, capsys):
 # (length, sha256) of stdout, recorded from the command line before its
 # render path was unified (the simulate entries since Monte Carlo draws a
 # block of trials from one generator); exact outputs are a byte-level
-# contract.
+# contract.  The JSON spectrum documents were recorded when the default
+# --n-cap was 3000, which their meta block shows, so they pass it.
 RECORDED_DOCUMENTS = {
-    "spectrum --q 2 --c 3 --d 6 --n 60":
+    "spectrum --q 2 --c 3 --d 6 --n 60 --n-cap 3000":
         (9118, "7af9688315d11906c9402cd28625cb9cbfe6d869c5189815e886083712178cf1"),
     "spectrum --q 2 --c 3 --d 6 --n 60 --format csv":
         (2878, "e6bbccd1043341c976cc38fcf58962fc0fedcdf91a21546f1d2e5fe2713f0476"),
-    "spectrum --q 256 --c 6 --d 12 --n 40":
+    "spectrum --q 256 --c 6 --d 12 --n 40 --n-cap 3000":
         (27076, "815fbfc388023c9e4c7f875451f866c26255f714fcb7aa57a3c0fb18e06078b4"),
     "spectrum --q 256 --c 6 --d 12 --n 40 --format csv":
         (22813, "7c3371b22fc7c312d9ef5fbb78965735e5b59e0886dd69c6f11dcfc777a456c9"),
+    "spectrum --q 7 --c 3 --d 6 --n 120 --n-cap 3000":
+        (49312, "1de332fbf9f9bf47a8940ab3c4094f53cd1abe219a31b8692440a4e0df55b0d1"),
+    "spectrum --q 7 --c 3 --d 6 --n 120 --format csv":
+        (37131, "63363b4eadba6eb384902073446327aca1b7d9f57b9a244fca3fa2931504ec43"),
+    "spectrum --q 4 --c 3 --d 6 --n 600 --n-cap 3000":
+        (759293, "eb7c866cdf994390e7f231ccf3c7f9d5a4ae4e749db1a546a286d466fcb715a1"),
+    "spectrum --q 4 --c 3 --d 6 --n 600 --format csv":
+        (699592, "c16fddf125963706510e3743c1ac4612e182441271e5a12fe311db75a5a7226c"),
     "exhaustive --q 2 --c 2 --d 4 --n 2":
         (570, "33665eaf15a8ae3a6ba34e7f2c8ed95529799d435d1d77100533e9bb5f3c8233"),
     "exhaustive --q 2 --c 2 --d 4 --n 2 --format csv":
@@ -658,6 +667,9 @@ RECORDED_ERRORS = {
     "exhaustive --q 2 --c 3 --d 6 --n 12":
         (3, '{"code": 3, "message": "371993326789901217467999448150835200000000 '
             'ensemble configurations exceed the cap 100000000"}\n'),
+    "spectrum --q 4 --c 3 --d 6 --n 4002":
+        (3, '{"code": 3, "message": "block length 4002 exceeds the cap 4000; '
+            'raise n_cap explicitly to proceed"}\n'),
 }
 
 
@@ -669,6 +681,14 @@ def test_exact_documents_match_recorded_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
     for argv, (exit_code, stderr) in RECORDED_ERRORS.items():
         assert invoke(capsys, *argv.split()) == (exit_code, "", stderr), argv
+
+
+def test_default_cap_shows_only_in_the_meta_block(capsys):
+    argv = ("spectrum", "--q", "7", "--c", "3", "--d", "6", "--n", "12")
+    _, default, _ = invoke(capsys, *argv)
+    _, explicit, _ = invoke(capsys, *argv, "--n-cap", "3000")
+    assert f'"n_cap": {DEFAULT_N_CAP},' in default
+    assert default == explicit.replace('"n_cap": 3000,', f'"n_cap": {DEFAULT_N_CAP},')
 
 
 def csv_token(value):
@@ -799,6 +819,10 @@ def test_emit_json_matches_stdlib_on_edge_values():
         "empty": {"dict": {}, "list": [], "tuple": ()},
         "nested": {"none": None, "list": [None, [None, {}], {"b": None}], "tuple": (1, (2,))},
         "text": ["", "gr\u00fc\u00dfe \u2603 \U0001f600", "\x00\x1f\t\n\r\"\\/", "\u2028"],
+        # digit strings skip the escaper; the strings beside them still get it
+        # (3**9100 has 4342 digits, so its string comes from the chunked path)
+        "digits": [cli.digit_string(0), '"', cli.digit_string(10**50 + 3), "\\",
+                   cli.digit_string(3**9100), "\x07", "\u00e9"],
         "ints": [0, -1, 2**64, 2**64 + 1, -(2**200), 10**300, True, False],
         "\u00e9 key": 1,
         "": "empty key",

@@ -28,7 +28,7 @@ from ldpc_spectra import (
     small_weight_order,
     small_weight_scaling,
 )
-from oracles import beta, log_avg_upper_bound
+from oracles import beta, fraction_average, log_avg_upper_bound
 
 STIRLING_CONST = math.log(2 * math.pi) / 2 + 1 / 6
 
@@ -203,12 +203,45 @@ def test_degree_one_checks_pin_everything():
 
 
 def test_avg_weight_at_consistent_with_table():
-    # c = 1, d = 1 and q = 256 next to a generic ensemble
-    for q, c, d, n in [(3, 2, 3, 9), (5, 1, 4, 24), (3, 2, 1, 12), (256, 3, 6, 40)]:
+    # c = 1, d = 1 and q = 256 next to a generic ensemble, and q - 1 with
+    # two (q = 7) and three (q = 31, 256) distinct primes
+    for q, c, d, n in [(3, 2, 3, 9), (5, 1, 4, 24), (3, 2, 1, 12), (256, 3, 6, 40),
+                       (7, 3, 6, 12), (31, 2, 3, 12), (256, 12, 12, 12)]:
         params = EnsembleParams(q=q, c=c, d=d, n=n)
         table = avg_weight_distribution(params)
         for l in range(n + 1):
             assert avg_weight_at(params, l) == table.values[l], (q, c, d, n, l)
+
+
+# q - 1 with zero, one, two and three distinct primes: 1, 3, 8, 6, 30, 255
+REDUCTION_ORDERS = (2, 4, 9, 7, 31, 256)
+
+
+def reduction_grid():
+    for q in REDUCTION_ORDERS:
+        for d in (1, 2, 3, 6, 12):
+            for c in sorted({1, 2, 3, d}):
+                step = d // math.gcd(c, d)
+                for n in sorted({step, 2 * step, 12}):
+                    yield EnsembleParams(q=q, c=c, d=d, n=n)
+
+
+def test_reduced_values_equal_fraction_oracle():
+    # each value is built in lowest terms without Fraction's own gcd, so
+    # its terms, sign and hash are checked against Fraction(num, den).  At
+    # (7, 2, 6, 54), l = 7, a(c*l) holds a prime of q-1 to a higher power
+    # than the chunk it is stripped by, so the strip runs twice.
+    for params in [*reduction_grid(), EnsembleParams(q=7, c=2, d=6, n=54)]:
+        coeffs = check_coeffs(params.q, params.d, params.num_checks, params.num_sockets)
+        want = fraction_average(params, coeffs)
+        got = avg_weight_distribution(params).values
+        assert len(got) == len(want), params
+        for value, expected in zip(got, want):
+            num, den = value.numerator, value.denominator
+            assert (num, den) == (expected.numerator, expected.denominator), params
+            assert den > 0 and math.gcd(num, den) == 1, params
+            assert num or den == 1, params
+            assert hash(value) == hash(expected), params
 
 
 def test_incremental_assembly_matches_comb_formula():
