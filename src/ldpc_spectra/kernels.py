@@ -1,6 +1,11 @@
 """Numpy weight counter for sim: Hamming weight counts over all linear
 combinations of each basis of a (batch, dim, n) stack, bit-packed over
 GF(2**k) and byte-per-symbol over odd characteristic.
+
+GF(2) bases of at most 64 positions may come as bit rows instead, one
+uint64 word per basis vector (linalg.kernel_words): count_words takes them
+as the generators of the XOR span as they are, with no symbol gathered or
+packed.  Every other basis comes as bytes, one per symbol.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ def count_weights(basis, q, add_table, mul_table):
     at a time: a slice of one basis's high words, or whole spans of several
     bases of a stack, binned with per-basis offsets.  Over GF(2**k) the
     words are bit-packed and a sum is one XOR (see _count_packed); other
-    fields compare byte symbols (see _count_bytes).
+    fields compare byte symbols (see _count_bytes).  GF(2) bases already
+    held as bit rows skip the packing (see count_words).
 
     Parameters
     ----------
@@ -126,19 +132,38 @@ def _xor_span(gens):
     return span
 
 
+def count_words(words, n):
+    """count_weights over GF(2) of bases held as bit rows.
+
+    words is a (batch, dim) uint64 stack, bit v of a word the symbol at
+    position v < n <= 64, as linalg.kernel_words returns it; counts are as
+    count_weights returns them for the same bases as bytes.
+    """
+    return _count_planes(words[:, None, :], n, n, 1)
+
+
 def _count_packed(basis, k, mul_table):
     """count_weights over GF(2**k) on bit-packed words.
 
     Row r contributes the k GF(2) generators beta*r, beta = 2**i (the
     polynomial basis x**i); their XOR combinations are exactly the
-    GF(q)-combinations of the rows, with the same multiplicities.  A
-    position is nonzero when any of its k bit planes is set, so a word's
-    weight is the popcount of the OR of its planes, folded onto plane 0.
+    GF(q)-combinations of the rows, with the same multiplicities.
     """
     batch, dim, n = basis.shape
     betas = 1 << np.arange(k)
     gens = mul_table[betas[:, None], basis[:, :, None, :]].reshape(batch, dim * k, n)
     words, m = _bit_planes(gens, k)
+    return _count_planes(words, n, m, k)
+
+
+def _count_planes(words, n, m, k):
+    """Weight counts (batch, n + 1) of the XOR spans of (batch, words, g)
+    generators laid out as _bit_planes lays them, m positions to a word.
+
+    A position is nonzero when any of its k bit planes is set, so a word's
+    weight is the popcount of the OR of its planes, folded onto plane 0.
+    """
+    batch = len(words)
     half = words.shape[2] // 2
     folds = [np.uint64(m << s) for s in range((k - 1).bit_length())]
     plane0 = np.uint64((1 << m) - 1)

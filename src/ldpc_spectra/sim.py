@@ -18,9 +18,13 @@ and the last block of a run holds the trials left.
 
 Codes travel as stacks: a draw block is assembled, reduced (linalg) and
 counted (kernels) by batched numpy calls on (batch, ...) arrays, in
-compute blocks of _block_size(params) codes cut inside it.  Aggregates are
-exact integer sums merged block by block, so reports are byte-identical
-for any worker count and compute block size.  A single code
+compute blocks of _block_size(params) codes cut inside it.  Over GF(2)
+with n <= 64 each parity row is packed into one uint64 word right after
+assembly, and elimination and counting run on words; the byte matrices
+stay for has_zero_column and the exhaustive tally's keys, and q > 2 or
+n > 64 is reduced and counted on bytes.  Aggregates are exact integer
+sums merged block by block, so reports are byte-identical for any worker
+count and compute block size.  A single code
 (sample_code, enumerate_weights) is a stack of one, indexed [0].
 
 The exhaustive average needs no sampling: it walks the m-by-n edge-count
@@ -47,7 +51,7 @@ import numpy as np
 from . import kernels
 from .errors import CapacityError, ParameterError
 from .gf import FieldSpec, add_arrays, build_field
-from .linalg import kernel_basis
+from .linalg import bit_rows, kernel_basis, kernel_words
 from .spectrum import EnsembleParams, SpectrumTable
 
 # Default cap on the number of codewords a single enumeration may visit.
@@ -170,20 +174,30 @@ def _count_stack(field: FieldSpec, parity: np.ndarray, cap: int) -> tuple[np.nda
 
     Every dimension is checked against cap before any code is counted; the
     refusal names the first code in stack order that exceeds it.  Codes are
-    counted a dimension at a time, as stacks of bases.
+    counted a dimension at a time, as stacks of bases: over GF(2) with at
+    most 64 variables, bit rows from assembly to count, one uint64 word per
+    parity row and per basis vector; otherwise bytes.
     """
-    bases, dims = kernel_basis(field, parity)
+    n = parity.shape[-1]
+    packed = field.q == 2 and n <= 64
+    if packed:
+        bases, dims = kernel_words(bit_rows(parity), n)
+    else:
+        bases, dims = kernel_basis(field, parity)
     dim_list = dims.tolist()
     if field.q ** max(dim_list) > cap:
         dim = next(dim for dim in dim_list if field.q**dim > cap)
         raise CapacityError(
             f"q**dim = {field.q}**{dim} = {field.q**dim} codewords exceeds the cap {cap}"
         )
-    counts = np.empty((len(dims), parity.shape[-1] + 1), np.int64)
+    counts = np.empty((len(dims), n + 1), np.int64)
     for dim in set(dim_list):
         group = dims == dim
-        counts[group] = kernels.count_weights(
-            bases[group, :dim], field.q, field.add_table, field.mul_table)
+        if packed:
+            counts[group] = kernels.count_words(bases[group, :dim], n)
+        else:
+            counts[group] = kernels.count_weights(
+                bases[group, :dim], field.q, field.add_table, field.mul_table)
     return counts, dims
 
 
@@ -325,8 +339,9 @@ class _Tally:
             )
         mean = tuple(s / trials for s in sums)
         if trials >= 2:
+            # int / int is correctly rounded, as float(Fraction(...)) is
             stderr = tuple(
-                math.sqrt(float(Fraction(qq * trials - s * s, trials**2 * (trials - 1))))
+                math.sqrt((qq * trials - s * s) / (trials**2 * (trials - 1)))
                 for s, qq in zip(sums, self.sumsq)
             )
         else:

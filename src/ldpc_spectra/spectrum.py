@@ -20,6 +20,7 @@ n+1 gcds.  Everything here is exact integer and Fraction arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,11 +124,20 @@ def check_coeffs(q: int, d: int, N: int, M: int) -> tuple[int, ...]:
         Number of checks, at least 0.
     M : int
         Highest coefficient index retained.
+
+    Raises
+    ------
+    CapacityError
+        If M + 1 coefficients are too many for a list, before any is built.
     """
     if N < 0:
         raise ParameterError(f"N must be nonnegative, got {N}")
     if M < 0:
         raise ParameterError(f"M must be nonnegative, got {M}")
+    if M >= sys.maxsize:
+        raise CapacityError(
+            f"coefficients a(0..{M}) exceed the longest list; c*n or c*l is too large"
+        )
     terms = [(i, p) for i, p in enumerate(single_check_coeffs(q, d)) if i and p]
     row = [0] * (M + 1)
     row[0] = 1

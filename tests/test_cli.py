@@ -623,9 +623,11 @@ def test_oversized_grids_exit_3_without_output(tmp_path, capsys):
 
 # (length, sha256) of stdout, recorded from the command line before its
 # render path was unified (the simulate entries since Monte Carlo draws a
-# block of trials from one generator); exact outputs are a byte-level
-# contract.  The JSON spectrum documents were recorded when the default
-# --n-cap was 3000, which their meta block shows, so they pass it.
+# block of trials from one generator, the q = 2 n = 24 and n = 4 entries
+# before GF(2) codes were reduced and counted as bit rows); exact outputs
+# are a byte-level contract.  The JSON spectrum documents were recorded
+# when the default --n-cap was 3000, which their meta block shows, so they
+# pass it.
 RECORDED_DOCUMENTS = {
     "spectrum --q 2 --c 3 --d 6 --n 60 --n-cap 3000":
         (9118, "7af9688315d11906c9402cd28625cb9cbfe6d869c5189815e886083712178cf1"),
@@ -659,6 +661,12 @@ RECORDED_DOCUMENTS = {
         (2130, "44f3f5f14091bfa6c9e8105b250f2664b8e346a295fbefd2732e547e3254f8c2"),
     "simulate --q 2 --c 3 --d 6 --n 12 --trials 50 --seed 9 --format csv":
         (227, "8f66876f385f46cab97cca433f30bec8107c31be5c377967309f3d382b79198f"),
+    "simulate --q 2 --c 3 --d 6 --n 24 --trials 25 --seed 634542366":
+        (3330, "711075f497f5bf5e4ef894e86dce1db2978d7aafeeb02796d66d9b3e4ebdb777"),
+    "simulate --q 2 --c 3 --d 6 --n 24 --trials 25 --seed 634542366 --format csv":
+        (460, "b3cf5556a52e119ca48fdc7ef89507df6e7702b71a95d7bd87a5ea6d75e9a031"),
+    "exhaustive --q 2 --c 3 --d 6 --n 4 --config-cap 1000000000":
+        (806, "f95a58d8d5302ca8e1de9b31160bc167ca5b51509cd38a7bda4bfe53f1adfd7f"),
 }
 
 RECORDED_ERRORS = {
@@ -670,6 +678,13 @@ RECORDED_ERRORS = {
     "spectrum --q 4 --c 3 --d 6 --n 4002":
         (3, '{"code": 3, "message": "block length 4002 exceeds the cap 4000; '
             'raise n_cap explicitly to proceed"}\n'),
+    # a coefficient row c*n or c*l + 1 long cannot index a list
+    "spectrum --q 7 --c 99999999999999999999 --d 1 --n 3":
+        (3, '{"code": 3, "message": "coefficients a(0..299999999999999999997) exceed '
+            'the longest list; c*n or c*l is too large"}\n'),
+    "small-weight --q 7 --c 99999999999999999999 --d 1 --l 1 --n-list 3,6,9":
+        (3, '{"code": 3, "message": "coefficients a(0..99999999999999999999) exceed '
+            'the longest list; c*n or c*l is too large"}\n'),
 }
 
 

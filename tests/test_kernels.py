@@ -7,7 +7,8 @@ import itertools
 import numpy as np
 
 from ldpc_spectra import build_field
-from ldpc_spectra.kernels import _count_bytes, count_weights
+from ldpc_spectra.kernels import _count_bytes, count_weights, count_words
+from ldpc_spectra.linalg import bit_rows
 
 
 def brute_counts(basis, q, field):
@@ -98,3 +99,15 @@ def test_packed_counts_match_byte_kernel_and_brute_force():
         assert sum(got) == q**dim
         if q**dim <= 4096:
             assert got == brute_counts(basis, q, field), (q, basis.shape)
+
+
+def test_word_counts_match_byte_counts():
+    # GF(2) bases as bit rows, one word per vector, up to the word width
+    rng = np.random.default_rng(31)
+    field = build_field(2)
+    for batch, dim, n in ((1, 0, 3), (3, 1, 1), (5, 4, 9), (2, 11, 20), (4, 6, 63), (3, 7, 64)):
+        bases = rng.integers(0, 2, size=(batch, dim, n)).astype(np.uint8)
+        bases[0, :, -1] = 1
+        want = _count_bytes(bases, field.add_table, field.mul_table)
+        got = count_words(bit_rows(bases), n)
+        assert got.shape == (batch, n + 1) and (got == want).all(), (batch, dim, n)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ldpc_spectra import ParameterError, build_field
-from ldpc_spectra.linalg import kernel_basis, rref
+from ldpc_spectra.linalg import bit_rows, kernel_basis, kernel_words, rref
 
 
 def matvec(field, matrix, vec):
@@ -172,3 +172,36 @@ def test_batched_rref_of_a_stack_of_one():
     want, want_pivots = rref_oracle(field, matrix)
     assert (reduced[0] == want).all()
     assert pivots[0].tolist() == want_pivots
+
+
+def test_bit_rows_put_column_v_at_bit_v():
+    rng = np.random.default_rng(3)
+    stack = rng.integers(0, 2, size=(5, 4, 64)).astype(np.uint8)
+    words = bit_rows(stack)
+    assert words.dtype == np.uint64 and words.shape == (5, 4)
+    for b, i in itertools.product(range(5), range(4)):
+        assert int(words[b, i]) == sum(int(e) << v for v, e in enumerate(stack[b, i]))
+
+
+def test_word_kernels_match_byte_kernels():
+    # the byte elimination is the oracle of the word path: the same
+    # dimensions and the same basis vectors, packed, on stacks of mixed
+    # rank; at 64 columns the zero matrix's basis holds the top bit
+    field = build_field(2)
+    rng = np.random.default_rng(43)
+    for rows, cols in ((1, 1), (3, 1), (3, 7), (6, 12), (12, 24), (5, 63), (40, 63),
+                       (7, 64), (33, 64)):
+        stack = np.stack(stack_cases(rng, field, rows, cols) if 3 <= rows <= cols else [
+            np.zeros((rows, cols), np.uint8), np.eye(rows, cols, dtype=np.uint8)])
+        dense = (rng.random((12, rows, cols)) < rng.random((12, 1, 1))).astype(np.uint8)
+        stack = np.concatenate([stack, dense])
+        before = bit_rows(stack)
+        bases, dims = kernel_basis(field, stack)
+        words, word_dims = kernel_words(before, cols)
+        assert (bit_rows(stack) == before).all()
+        assert word_dims.tolist() == dims.tolist(), (rows, cols)
+        assert len(set(dims.tolist())) > 1
+        assert words.dtype == np.uint64 and words.shape == (len(stack), int(dims.max()))
+        assert (words == bit_rows(bases)).all(), (rows, cols)
+    words, dims = kernel_words(np.zeros((1, 2), np.uint64), 64)
+    assert dims.tolist() == [64] and words[0].tolist() == [1 << f for f in range(64)]

@@ -24,8 +24,8 @@ from ldpc_spectra import (
 )
 from ldpc_spectra import sim
 from ldpc_spectra.cli import _report_data
-from ldpc_spectra.kernels import count_weights
-from ldpc_spectra.linalg import kernel_basis
+from ldpc_spectra.kernels import count_weights, count_words
+from ldpc_spectra.linalg import bit_rows, kernel_basis
 from ldpc_spectra.sim import SimReport, SpectrumStats, has_zero_column
 from oracles import configuration_multiplicities
 
@@ -617,6 +617,24 @@ def test_tally_sums_stay_exact_past_int64():
         (tally.trials, tally.sums, tally.sumsq, tally.hits)
 
 
+def test_tally_stderr_is_the_rounded_fraction():
+    # int / int rounds correctly, so the float is float(Fraction(...)) to
+    # the bit, on sums past 2**53 and past int64
+    rng = np.random.default_rng(19)
+    past = set()
+    for top in (2**20, 2**53 + 3, 2**62):
+        for trials in (2, 3, 17, 64):
+            counts = rng.integers(0, top, size=(trials, 4), dtype=np.int64)
+            tally = sim._Tally(3, 1, 1)
+            tally.add(counts)
+            want = tuple(
+                math.sqrt(float(Fraction(qq * trials - s * s, trials**2 * (trials - 1))))
+                for s, qq in zip(tally.sums, tally.sumsq))
+            assert tally.stats().stderr == want, (top, trials)
+            past.update(bound for bound in (2**53, 2**63) if max(tally.sums) > bound)
+    assert past == {2**53, 2**63}
+
+
 def test_monte_carlo_capacity_refused_before_counting(monkeypatch):
     # (2,3,6,12) codes have dim 6 at full rank; a few draws lose rank
     params = EnsembleParams(q=2, c=3, d=6, n=12)
@@ -629,7 +647,12 @@ def test_monte_carlo_capacity_refused_before_counting(monkeypatch):
         calls.append(args)
         return count_weights(*args)
 
+    def counted_words(*args):
+        calls.append(args)
+        return count_words(*args)
+
     monkeypatch.setattr(sim.kernels, "count_weights", counted)
+    monkeypatch.setattr(sim.kernels, "count_words", counted_words)
     with pytest.raises(CapacityError) as refused:
         monte_carlo(params, trials=120, seed=1, workers=1, enum_cap=2**6)
     dim = rows[first][2]
@@ -638,3 +661,81 @@ def test_monte_carlo_capacity_refused_before_counting(monkeypatch):
     assert calls == []
     # below the first refused trial the run goes through
     assert monte_carlo(params, trials=first, seed=1, enum_cap=2**6).trials == first
+
+
+def byte_counts(field, parity):
+    """Weight counts and dimensions of a stack of codes on bytes: kernel_basis
+    and count_weights, one code at a time."""
+    bases, dims = kernel_basis(field, parity)
+    assert field.q ** dims.max() <= 1 << 16
+    counts = [count_weights(bases[b:b + 1, :dim], field.q, field.add_table,
+                            field.mul_table)[0] for b, dim in enumerate(dims.tolist())]
+    return np.array(counts), dims
+
+
+def gf2_stacks(rng):
+    """GF(2) stacks of mixed dimension in one batch: assembled codes,
+    random, zero, identity and rank-deficient matrices, n = 1 to 64."""
+    field = build_field(2)
+    for c, d, n, rows in ((3, 6, 12, 200), (2, 4, 8, 60), (3, 6, 24, 20)):
+        params = EnsembleParams(q=2, c=c, d=d, n=n)
+        perms, mults = sim._draw(params, n, rows)
+        yield sim.assemble_parity(params, field, perms, mults)
+    for m, n in ((1, 1), (3, 1), (2, 5), (4, 9), (58, 63), (61, 64), (60, 64)):
+        random = [(rng.random((m, n)) < p).astype(np.uint8) for p in (0.5, 0.5, 0.9)]
+        deficient = random[0].copy()
+        deficient[-1] = deficient[0] ^ deficient[m // 2]
+        top = random[1].copy()
+        top[:, -1] = 1
+        yield np.stack(random + [deficient, top, np.eye(m, n, dtype=np.uint8)]
+                       + [np.zeros((m, n), np.uint8)] * (n < 20))
+
+
+def test_bit_row_counts_match_the_byte_path():
+    # the byte elimination and counter are the oracle of the word path
+    field = build_field(2)
+    rng = np.random.default_rng(29)
+    mixed = full = 0
+    for parity in gf2_stacks(rng):
+        want, want_dims = byte_counts(field, parity)
+        counts, dims = sim._count_stack(field, parity, sim.DEFAULT_ENUM_CAP)
+        assert dims.tolist() == want_dims.tolist(), parity.shape
+        assert (counts == want).all(), parity.shape
+        assert (counts.sum(axis=1) == 2**dims).all()
+        mixed += len(set(dims.tolist())) > 1
+        full += int((dims == parity.shape[2]).sum())
+    assert mixed >= 8 and full >= 4
+
+
+def test_parallel_edges_cancel_in_bit_rows():
+    # (2, 2, 1): one check, one variable, two edges: the cell sums to 0
+    params = EnsembleParams(q=2, c=2, d=2, n=1)
+    field = build_field(2)
+    parity = sim.assemble_parity(params, field, np.array([[0, 1]]), np.ones((1, 2), np.uint8))
+    assert parity.tolist() == [[[0]]] and bit_rows(parity).tolist() == [[0]]
+    counts, dims = sim._count_stack(field, parity, sim.DEFAULT_ENUM_CAP)
+    assert dims.tolist() == [1] and counts.tolist() == [[1, 1]]
+
+
+def test_bit_rows_stop_at_the_word_width(monkeypatch):
+    # up to 64 variables a GF(2) stack goes as words, from 65 on as bytes
+    field = build_field(2)
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(sim, "kernel_basis", recorded("bytes", kernel_basis))
+    monkeypatch.setattr(sim, "kernel_words", recorded("words", sim.kernel_words))
+    for n in (64, 65):
+        parity = np.concatenate([np.eye(n - 2, n, dtype=np.uint8)] * 2)[None]
+        counts, dims = sim._count_stack(field, parity, sim.DEFAULT_ENUM_CAP)
+        assert dims.tolist() == [2] and counts[0, [0, 1, 2]].tolist() == [1, 2, 1]
+    assert calls == ["words", "bytes"]
+    # other fields stay on bytes at any width
+    calls.clear()
+    sim._count_stack(build_field(4), np.eye(3, 5, dtype=np.uint8)[None], sim.DEFAULT_ENUM_CAP)
+    assert calls == ["bytes"]
