@@ -21,11 +21,13 @@ counted (kernels) by batched numpy calls on (batch, ...) arrays, in
 compute blocks of _block_size(params) codes cut inside it.  Over GF(2)
 with n <= 64 each parity row is packed into one uint64 word right after
 assembly, and elimination and counting run on words; the byte matrices
-stay for has_zero_column and the exhaustive tally's keys, and q > 2 or
-n > 64 is reduced and counted on bytes.  Aggregates are exact integer
-sums merged block by block, so reports are byte-identical for any worker
-count and compute block size.  A single code
-(sample_code, enumerate_weights) is a stack of one, indexed [0].
+serve only the exhaustive tally's keys and CodeSample, and q > 2 or
+n > 64 is reduced and counted on bytes.  A code's minimum distance is
+read from its weight counts by one rule (_dmin), which also decides the
+filter: a code passes when it has no weight-1 word.  Aggregates are exact
+integer sums merged block by block, so reports are byte-identical for any
+worker count and compute block size.  A single code (sample_code,
+enumerate_weights) is a stack of one, indexed [0].
 
 The exhaustive average needs no sampling: it walks the m-by-n edge-count
 tables of the ensemble, not its (c*n)! * (q-1)**(c*n) configurations, and
@@ -44,12 +46,12 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, product, zip_longest
 
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, DomainError, ParameterError
 from .gf import FieldSpec, add_arrays, build_field
 from .linalg import bit_rows, kernel_basis, kernel_words
 from .spectrum import EnsembleParams, SpectrumTable
@@ -201,6 +203,18 @@ def _count_stack(field: FieldSpec, parity: np.ndarray, cap: int) -> tuple[np.nda
     return counts, dims
 
 
+def _dmin(counts: np.ndarray) -> np.ndarray:
+    """Minimum distances of a (batch, n + 1) stack of weight counts: the
+    first nonzero weight w >= 1 of each row, n + 1 for a code with no
+    nonzero word.
+
+    A column of H is all zero exactly when a multiple of a unit vector is a
+    codeword, so dmin >= 2 is the filter of codes with no all-zero column.
+    """
+    nonzero = counts[:, 1:] > 0
+    return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1) + 1, counts.shape[1])
+
+
 def enumerate_weights(
     field: FieldSpec,
     parity_matrix: np.ndarray,
@@ -208,29 +222,32 @@ def enumerate_weights(
 ) -> WeightEnumeration:
     """Exact weight distribution of the code {x : parity_matrix @ x = 0}.
 
-    Counts all q**dim codewords (dim = kernel dimension) with
-    kernels.count_weights.
+    Counts all q**dim codewords (dim = kernel dimension) as _count_stack
+    does: over GF(2) with at most 64 variables with kernels.count_words,
+    otherwise with kernels.count_weights.  dmin is inf for a code with no
+    nonzero word.
 
     Raises
     ------
+    ParameterError
+        If parity_matrix is not 2-D.
+    DomainError
+        If an entry is not a field element, one of 0..q-1.
     CapacityError
-        If q**dim exceeds cap; the request is refused before any work.
+        If q**dim exceeds cap.  Each is raised before any work.
     """
-    counts, dims = _count_stack(field, np.asarray(parity_matrix)[None], cap)
-    counts_t = tuple(counts[0].tolist())
-    dmin: float = math.inf
-    for w in range(1, len(counts_t)):
-        if counts_t[w] > 0:
-            dmin = w
-            break
-    return WeightEnumeration(counts=counts_t, dimension=int(dims[0]), dmin=dmin)
-
-
-def has_zero_column(parity: np.ndarray) -> np.ndarray:
-    """One flag per matrix of a (batch, m, n) stack: True when some variable
-    is attached to no effective check constraint.
-    """
-    return (parity == 0).all(axis=1).any(axis=1)
+    h = np.asarray(parity_matrix)
+    if h.ndim != 2:
+        raise ParameterError(f"parity matrix must be 2-D, got shape {h.shape}")
+    with np.errstate(invalid="ignore"):  # nan and inf cast to some byte
+        symbols = h.astype(np.uint8)
+    bad = h[(symbols != h) | (symbols >= field.q)]
+    if bad.size:
+        raise DomainError(f"parity matrix entry {bad[0].item()!r} is not one of 0..{field.q - 1}")
+    counts, dims = _count_stack(field, symbols[None], cap)
+    dmin = int(_dmin(counts)[0])
+    return WeightEnumeration(counts=tuple(counts[0].tolist()), dimension=int(dims[0]),
+                             dmin=dmin if dmin < counts.shape[1] else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +263,9 @@ class SpectrumStats:
     and stderr are derived from them (stderr entries are nan below two
     trials).  dmin_hits counts trials whose minimum distance fell inside
     [l0, floor(n*alpha)]; p_dmin_le is the corresponding fraction with a
-    normal-approximation 95% half width.
+    normal-approximation 95% half width.  The filtered stats of a SimReport
+    cover the trials with no weight-1 word (no all-zero column in H), so
+    every one of their hits has minimum distance at least 2.
     """
 
     trials: int
@@ -262,9 +281,9 @@ class SpectrumStats:
 class SimReport:
     """Result of a Monte Carlo ensemble run.
 
-    overall covers every trial; filtered covers the trials whose
-    parity-check matrix has no all-zero column (minimum distance at least
-    2), present when filter_on.
+    overall covers every trial; filtered, present when filter_on, covers
+    the trials whose code has no weight-1 word (minimum distance at least
+    2), which is the same as a parity-check matrix with no all-zero column.
     """
 
     params: EnsembleParams
@@ -279,7 +298,7 @@ class SimReport:
 
     @property
     def filter_pass_rate(self) -> float | None:
-        """Fraction of trials whose matrix has no all-zero column."""
+        """Fraction of trials whose code has no weight-1 word."""
         if self.filtered is None:
             return None
         return self.filtered.trials / self.trials
@@ -297,33 +316,25 @@ def _column_sums(values: np.ndarray, power: int) -> list[int]:
 
 
 class _Tally:
-    """Exact running sums over a set of trials: per-weight sums and sums of
-    squares of the weight counts (Python ints), the trial count, and the
-    trials whose minimum distance lies in [lo, hi].
+    """Exact sums over a set of trials: the trial count, the hits, and
+    per-weight sums and sums of squares of the weight counts (Python ints).
+
+    _Tally(counts, hit) tallies the trials of a (trials, n + 1) array of
+    weight counts, hit flagging the trials that count as hits; _Tally() is
+    the empty tally, whose sum lists are empty until a tally is merged in.
     """
 
-    def __init__(self, n: int, lo: int, hi: int):
-        self.n, self.lo, self.hi = n, lo, hi
-        self.trials = 0
-        self.hits = 0
-        self.sums = [0] * (n + 1)
-        self.sumsq = [0] * (n + 1)
-
-    def add(self, counts: np.ndarray) -> None:
-        """Add the trials of a (trials, n + 1) array of weight counts."""
-        nonzero = counts[:, 1:] > 0
-        # a code with no nonzero word has dmin = inf, past any hi < n
-        dmin = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1) + 1, self.n + 1)
-        self.trials += len(counts)
-        self.hits += int(np.count_nonzero((dmin >= self.lo) & (dmin <= self.hi)))
-        self.sums = [a + b for a, b in zip(self.sums, _column_sums(counts, 1))]
-        self.sumsq = [a + b for a, b in zip(self.sumsq, _column_sums(counts, 2))]
+    def __init__(self, counts: np.ndarray = np.empty((0, 0), np.int64), hit=()):
+        self.trials = len(counts)
+        self.hits = int(np.count_nonzero(hit))
+        self.sums = _column_sums(counts, 1)
+        self.sumsq = _column_sums(counts, 2)
 
     def merge(self, other: _Tally) -> None:
         self.trials += other.trials
         self.hits += other.hits
-        self.sums = [a + b for a, b in zip(self.sums, other.sums)]
-        self.sumsq = [a + b for a, b in zip(self.sumsq, other.sumsq)]
+        self.sums = [a + b for a, b in zip_longest(self.sums, other.sums, fillvalue=0)]
+        self.sumsq = [a + b for a, b in zip_longest(self.sumsq, other.sumsq, fillvalue=0)]
 
     def stats(self) -> SpectrumStats:
         trials, sums, hits = self.trials, self.sums, self.hits
@@ -400,14 +411,12 @@ def monte_carlo(
         raise ParameterError(f"worker count must be at least 1, got {nworkers}")
     nworkers = min(nworkers, trials, os.cpu_count() or 1)
     field = build_field(params.q)
-    n = params.n
-    dmax = math.floor(n * alpha)
+    dmax = math.floor(params.n * alpha)
     draw_size, block_size = _draw_size(params), _block_size(params)
     master = operator.index(seed)
 
     def run_range(trial_range: range) -> tuple[_Tally, _Tally]:
-        overall = _Tally(n, l0, dmax)
-        filtered = _Tally(n, max(l0, 2), dmax)
+        overall, filtered = _Tally(), _Tally()
         for start in range(trial_range.start, trial_range.stop, draw_size):
             rows = min(draw_size, trial_range.stop - start)
             perms, mults = _draw(params, (master, start // draw_size), rows)
@@ -417,9 +426,12 @@ def monte_carlo(
                 part = slice(at, at + block_size)
                 parity = assemble_parity(params, field, perms[part], mults[part])
                 counts, _ = _count_stack(field, parity, enum_cap)
-                overall.add(counts)
+                dmin = _dmin(counts)
+                hit = (dmin >= l0) & (dmin <= dmax)
+                overall.merge(_Tally(counts, hit))
                 if filter_on:
-                    filtered.add(counts[~has_zero_column(parity)])
+                    kept = dmin >= 2
+                    filtered.merge(_Tally(counts[kept], hit[kept]))
         return overall, filtered
 
     # at most nworkers runs of whole draw blocks; the calling thread takes the first

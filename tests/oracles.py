@@ -5,8 +5,9 @@ package does not take: the tilted two-argument objective whose infimum is
 delta, the weight form of the growth rate's derivative, the Stirling-gap
 upper bound on (1/n) ln E[A(l)], the Taylor slack behind the
 small-weight bound, the parity matrices of every ensemble
-configuration, and the exact spectrum assembled as unreduced integer
-pairs that Fraction reduces.  No subcommand needs them, so they live here.
+configuration, the weight-1 words of a code read off its zero columns,
+and the exact spectrum assembled as unreduced integer pairs that Fraction
+reduces.  No subcommand needs them, so they live here.
 """
 
 from __future__ import annotations
@@ -183,3 +184,11 @@ def configuration_multiplicities(params) -> Counter:
         parity = assemble_parity(params, field, perms, mults)
         shared.update(map(bytes, parity.reshape(len(parity), -1)))
     return shared
+
+
+def has_zero_column(parity: np.ndarray) -> np.ndarray:
+    """One flag per matrix of a (batch, m, n) stack: True when some column
+    is all zero, that is, when some variable is attached to no effective
+    check constraint and the code has a word of weight 1.
+    """
+    return (parity == 0).all(axis=1).any(axis=1)

@@ -624,10 +624,11 @@ def test_oversized_grids_exit_3_without_output(tmp_path, capsys):
 # (length, sha256) of stdout, recorded from the command line before its
 # render path was unified (the simulate entries since Monte Carlo draws a
 # block of trials from one generator, the q = 2 n = 24 and n = 4 entries
-# before GF(2) codes were reduced and counted as bit rows); exact outputs
-# are a byte-level contract.  The JSON spectrum documents were recorded
-# when the default --n-cap was 3000, which their meta block shows, so they
-# pass it.
+# before GF(2) codes were reduced and counted as bit rows, the q = 4 n = 8
+# entry, where 160 of 300 trials pass the filter, before the filter was
+# read from the weight counts); exact outputs are a byte-level contract.
+# The JSON spectrum documents were recorded when the default --n-cap was
+# 3000, which their meta block shows, so they pass it.
 RECORDED_DOCUMENTS = {
     "spectrum --q 2 --c 3 --d 6 --n 60 --n-cap 3000":
         (9118, "7af9688315d11906c9402cd28625cb9cbfe6d869c5189815e886083712178cf1"),
@@ -667,6 +668,8 @@ RECORDED_DOCUMENTS = {
         (460, "b3cf5556a52e119ca48fdc7ef89507df6e7702b71a95d7bd87a5ea6d75e9a031"),
     "exhaustive --q 2 --c 3 --d 6 --n 4 --config-cap 1000000000":
         (806, "f95a58d8d5302ca8e1de9b31160bc167ca5b51509cd38a7bda4bfe53f1adfd7f"),
+    "simulate --q 4 --c 2 --d 4 --n 8 --trials 300 --seed 11":
+        (1967, "f0f69938040c0d3106a9dd76d3f6196dcdfb93a2eeb3ea00a1dec08b46b9cbc7"),
 }
 
 RECORDED_ERRORS = {

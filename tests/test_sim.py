@@ -13,6 +13,7 @@ import pytest
 
 from ldpc_spectra import (
     CapacityError,
+    DomainError,
     EnsembleParams,
     ParameterError,
     avg_weight_distribution,
@@ -26,8 +27,8 @@ from ldpc_spectra import sim
 from ldpc_spectra.cli import _report_data
 from ldpc_spectra.kernels import count_weights, count_words
 from ldpc_spectra.linalg import bit_rows, kernel_basis
-from ldpc_spectra.sim import SimReport, SpectrumStats, has_zero_column
-from oracles import configuration_multiplicities
+from ldpc_spectra.sim import SimReport, SpectrumStats
+from oracles import configuration_multiplicities, has_zero_column
 
 
 def dmin_le_2(field, parity_matrix):
@@ -190,6 +191,21 @@ def test_enumerate_weights_capacity():
     h = np.zeros((1, 30), dtype=np.uint8)
     with pytest.raises(CapacityError):
         enumerate_weights(f2, h, cap=2**20)
+
+
+@pytest.mark.parametrize("q, matrix, error", [
+    (2, [[1, -1, 0]], DomainError),
+    (2, [[1, 2, 0]], DomainError),
+    (4, [[1, 7, 0]], DomainError),
+    (4, [1, 3, 0], ParameterError),
+], ids=["negative", "past-gf2", "past-gf4", "one-dimensional"])
+def test_enumerate_weights_rejects_bad_input_before_work(monkeypatch, q, matrix, error):
+    calls = []
+    monkeypatch.setattr(sim, "_count_stack", lambda *args: calls.append(args))
+    with pytest.raises(error) as refused:
+        enumerate_weights(build_field(q), np.array(matrix))
+    assert type(refused.value) is error
+    assert calls == []
 
 
 def test_dmin_le_2_detection():
@@ -598,21 +614,17 @@ def test_tally_sums_stay_exact_past_int64():
         [1, big, 0, 5],
     ], np.int64)
     rows = [(tuple(int(v) for v in row), 1) for row in counts]
-    tally = sim._Tally(3, 1, 1)
-    tally.add(counts)
+    tally = sim._Tally(counts, sim._dmin(counts) == 1)
     assert tally.sums == [sum(int(v) for v in col) for col in counts.T]
     assert tally.sumsq == [sum(int(v) ** 2 for v in col) for col in counts.T]
     assert tally.sumsq[1] > 2**63
     assert tally.stats() == oracle_aggregate(3, rows, 1, 1)
-    huge = sim._Tally(1, 1, 1)
-    huge.add(np.array([[1, 2**40], [1, 2**40 - 1]], np.int64))
+    huge = sim._Tally(np.array([[1, 2**40], [1, 2**40 - 1]], np.int64), np.ones(2, bool))
     assert huge.sumsq == [2, 2**80 + (2**40 - 1) ** 2]
-    # block sums merge to the sums of one block
-    halves = sim._Tally(3, 1, 1)
-    halves.add(counts[:1])
-    rest = sim._Tally(3, 1, 1)
-    rest.add(counts[1:])
-    halves.merge(rest)
+    # block sums merge to the sums of one block, from the empty tally on
+    halves = sim._Tally()
+    halves.merge(sim._Tally(counts[:1], sim._dmin(counts[:1]) == 1))
+    halves.merge(sim._Tally(counts[1:], sim._dmin(counts[1:]) == 1))
     assert (halves.trials, halves.sums, halves.sumsq, halves.hits) == \
         (tally.trials, tally.sums, tally.sumsq, tally.hits)
 
@@ -625,8 +637,7 @@ def test_tally_stderr_is_the_rounded_fraction():
     for top in (2**20, 2**53 + 3, 2**62):
         for trials in (2, 3, 17, 64):
             counts = rng.integers(0, top, size=(trials, 4), dtype=np.int64)
-            tally = sim._Tally(3, 1, 1)
-            tally.add(counts)
+            tally = sim._Tally(counts, sim._dmin(counts) == 1)
             want = tuple(
                 math.sqrt(float(Fraction(qq * trials - s * s, trials**2 * (trials - 1))))
                 for s, qq in zip(tally.sums, tally.sumsq))
@@ -705,6 +716,43 @@ def test_bit_row_counts_match_the_byte_path():
         mixed += len(set(dims.tolist())) > 1
         full += int((dims == parity.shape[2]).sum())
     assert mixed >= 8 and full >= 4
+
+
+def weight_one_stacks():
+    """(field, stack) pairs: assembled c = 2 codes, whose parallel edges
+    cancel to zero cells, a zero matrix, a full-rank (dimension 0) code,
+    and n = 65 GF(2) codes, which go on bytes."""
+    for q in (2, 3, 4, 8):
+        field = build_field(q)
+        params = EnsembleParams(q=q, c=2, d=4, n=8)
+        perms, mults = sim._draw(params, (q, 2), 200)
+        yield field, sim.assemble_parity(params, field, perms, mults)
+        yield field, np.zeros((1, 3, 6), np.uint8)
+        yield field, np.eye(6, dtype=np.uint8)[None]
+    # eye(64, 65) leaves column 64 zero; the second matrix has kernel
+    # e63 + e64 and no zero column
+    linked = np.eye(65, dtype=np.uint8)
+    linked[63:, 63:] = 1
+    yield build_field(2), np.stack([np.eye(64, 65, dtype=np.uint8), linked[:64]])
+
+
+def test_weight_one_words_are_the_zero_columns():
+    # a column of H is zero exactly when a multiple of a unit vector is a
+    # codeword: counts[:, 1] > 0 is the filter the oracle reads off H
+    seen = set()
+    for field, parity in weight_one_stacks():
+        counts, _ = sim._count_stack(field, parity, sim.DEFAULT_ENUM_CAP)
+        zero = has_zero_column(parity)
+        assert ((counts[:, 1] > 0) == zero).all(), (field.q, parity.shape)
+        assert ((sim._dmin(counts) >= 2) == ~zero).all(), (field.q, parity.shape)
+        seen.update((field.q, parity.shape[-1], bool(flag)) for flag in zero)
+    assert {(q, 8, flag) for q in (2, 3, 4, 8) for flag in (True, False)} <= seen
+    assert {(2, 65, True), (2, 65, False)} <= seen
+
+
+def test_dmin_is_the_first_nonzero_weight_or_n_plus_one():
+    counts = np.array([[1, 0, 0, 0], [1, 0, 3, 0], [1, 2, 1, 0], [1, 0, 0, 1]])
+    assert sim._dmin(counts).tolist() == [4, 2, 1, 3]
 
 
 def test_parallel_edges_cancel_in_bit_rows():
