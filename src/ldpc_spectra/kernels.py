@@ -3,12 +3,21 @@ combinations of each basis of a (batch, dim, n) stack, bit-packed over
 GF(2**k) and byte-per-symbol over odd characteristic.
 
 GF(2) bases of at most 64 positions may come as bit rows instead, one
-uint64 word per basis vector (linalg.kernel_words): count_words takes them
-as the generators of the XOR span as they are, with no symbol gathered or
-packed.  Every other basis comes as bytes, one per symbol.
+uint64 word per basis vector (linalg.kernel_words or linalg.bit_rows):
+count_words takes them as the generators of the XOR span as they are, with
+no symbol gathered or packed.  Every other basis comes as bytes, one per
+symbol.
+
+The rows need not be independent: counted from the m rows of a
+parity-check matrix, the span holds each word of the row space q**(m -
+rank) times, and macwilliams turns those counts into the weight counts of
+the code, by the integer Krawtchouk matrix of (q, n), built once per pair.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -159,6 +168,7 @@ def _count_packed(basis, k, mul_table):
 def _count_planes(words, n, m, k):
     """Weight counts (batch, n + 1) of the XOR spans of (batch, words, g)
     generators laid out as _bit_planes lays them, m positions to a word.
+    Both half spans are built once for the whole stack and sliced per chunk.
 
     A position is nonzero when any of its k bit planes is set, so a word's
     weight is the popcount of the OR of its planes, folded onto plane 0.
@@ -168,15 +178,15 @@ def _count_planes(words, n, m, k):
     folds = [np.uint64(m << s) for s in range((k - 1).bit_length())]
     plane0 = np.uint64((1 << m) - 1)
     weight_type = np.uint8 if n < 256 else np.uint32
-    trials, step = _chunks(batch, 1 << (words.shape[2] - half), 1 << half)
+    low, high = _xor_span(words[:, :, :half]), _xor_span(words[:, :, half:])
+    trials, step = _chunks(batch, high.shape[2], low.shape[2])
     counts = np.zeros((batch, n + 1), np.int64)
     for first in range(0, batch, trials):
-        low = _xor_span(words[first:first + trials, :, :half])
-        high = _xor_span(words[first:first + trials, :, half:])
+        part = slice(first, first + trials)
         for start in range(0, high.shape[2], step):
             weights = 0
             for w in range(high.shape[1]):
-                sums = high[:, w, start:start + step, None] ^ low[:, w, None, :]
+                sums = high[part, w, start:start + step, None] ^ low[part, w, None, :]
                 for shift in folds:
                     sums |= sums >> shift
                 if folds:
@@ -185,3 +195,49 @@ def _count_planes(words, n, m, k):
             counts[first:first + trials] += _binned(weights, n)
     return counts
 
+
+@functools.cache
+def krawtchouk(q, n):
+    """The integer Krawtchouk matrix of (q, n), as (exact, fixed, peak).
+
+    K[j, w] = sum_i (-1)**i (q-1)**(w-i) C(j, i) C(n-j, w-i), the
+    coefficient of z**w in (1 - z)**j (1 + (q-1) z)**(n-j): exact holds it
+    as Python ints, fixed as int64 (None when an entry does not fit), and
+    peak is its largest magnitude, max_w C(n, w) (q-1)**w, taken in row 0.
+    Row j + 1 follows from row j, since G_{j+1} (1 + (q-1) z) = G_j (1 - z)
+    for the row polynomials G_j.
+    """
+    row = [math.comb(n, w) * (q - 1) ** w for w in range(n + 1)]
+    rows = [row]
+    for _ in range(n):
+        prev, row = row, []
+        for w in range(n + 1):
+            row.append(prev[w] - (prev[w - 1] + (q - 1) * row[w - 1] if w else 0))
+        rows.append(row)
+    peak = max(rows[0])
+    exact = np.array(rows, dtype=object)
+    return exact, exact.astype(np.int64) if peak < 2**63 else None, peak
+
+
+def macwilliams(span, q, m):
+    """Weight counts (batch, n + 1) of the codes whose duals are counted in span.
+
+    span is a (batch, n + 1) stack of weight counts over all q**m
+    combinations of m rows spanning each dual, so span[b] is q**(m - rank)
+    times the dual's weight distribution, and by the MacWilliams identity
+    the code's counts are span @ K // q**m (see krawtchouk).  The sums are
+    taken in int64 while q**m * peak < 2**63, which bounds every partial
+    sum, and in Python ints past that.
+
+    Raises AssertionError if a division leaves a remainder: span was then
+    not the count of a row space.
+    """
+    exact, fixed, peak = krawtchouk(q, span.shape[1] - 1)
+    total = q**m
+    if total * peak < 2**63:
+        sums = span @ fixed
+    else:
+        sums = span.astype(object) @ exact
+    if (sums % total).any():
+        raise AssertionError(f"inexact MacWilliams transform at q={q}, m={m}")
+    return (sums // total).astype(np.int64)

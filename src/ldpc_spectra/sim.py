@@ -16,18 +16,22 @@ run cuts its trials into draw blocks of _draw_size(params) trials, which
 follows only the code size: block b is drawn from SeedSequence((seed, b)),
 and the last block of a run holds the trials left.
 
-Codes travel as stacks: a draw block is assembled, reduced (linalg) and
-counted (kernels) by batched numpy calls on (batch, ...) arrays, in
-compute blocks of _block_size(params) codes cut inside it.  Over GF(2)
-with n <= 64 each parity row is packed into one uint64 word right after
-assembly, and elimination and counting run on words; the byte matrices
-serve only the exhaustive tally's keys and CodeSample, and q > 2 or
-n > 64 is reduced and counted on bytes.  A code's minimum distance is
-read from its weight counts by one rule (_dmin), which also decides the
-filter: a code passes when it has no weight-1 word.  Aggregates are exact
-integer sums merged block by block, so reports are byte-identical for any
-worker count and compute block size.  A single code (sample_code,
-enumerate_weights) is a stack of one, indexed [0].
+Codes travel as stacks: a draw block is assembled and counted (kernels)
+by batched numpy calls on (batch, ...) arrays, in compute blocks of
+_block_size(params) codes cut inside it.  At rate >= 1/2 (2m <= n), where
+q**n is within the enumeration cap, the q**m combinations of the parity
+rows are counted and turned into the code's weights by the MacWilliams
+identity, with no elimination; otherwise the stack is reduced (linalg) and
+its kernel bases counted.  Over GF(2) with n <= 64 each parity row is
+packed into one uint64 word right after assembly, and elimination and
+counting run on words; the byte matrices serve only the exhaustive tally's
+keys and CodeSample, and q > 2 or n > 64 is reduced and counted on bytes.
+A code's minimum distance is read from its weight counts by one rule
+(_dmin), which also decides the filter: a code passes when it has no
+weight-1 word.  Aggregates are exact integer sums merged block by block,
+so reports are byte-identical for any worker count and compute block
+size.  A single code (sample_code, enumerate_weights) is a stack of one,
+indexed [0].
 
 The exhaustive average needs no sampling: it walks the m-by-n edge-count
 tables of the ensemble, not its (c*n)! * (q-1)**(c*n) configurations, and
@@ -174,14 +178,29 @@ def _draw_size(params: EnsembleParams) -> int:
 def _count_stack(field: FieldSpec, parity: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Weight counts (batch, n + 1) and code dimensions of a stack of codes.
 
-    Every dimension is checked against cap before any code is counted; the
-    refusal names the first code in stack order that exceeds it.  Codes are
-    counted a dimension at a time, as stacks of bases: over GF(2) with at
-    most 64 variables, bit rows from assembly to count, one uint64 word per
-    parity row and per basis vector; otherwise bytes.
+    Over GF(2) with at most 64 variables, words are bit rows, one uint64
+    word per parity row or basis vector; otherwise bytes.
+
+    With m checks, 2m <= n and q**n <= cap, no code can exceed the cap and
+    the dual is no larger than the code: all q**m combinations of the
+    parity rows are counted, with no elimination.  The zero word comes
+    q**(m - rank) times, which gives each dimension, and
+    kernels.macwilliams turns the counts into the code's.
+
+    Otherwise the stack is eliminated, and every dimension is checked
+    against cap before any code is counted; the refusal names the first
+    code in stack order that exceeds it.  Codes are then counted a
+    dimension at a time, as stacks of kernel bases.
     """
-    n = parity.shape[-1]
+    m, n = parity.shape[1:]
     packed = field.q == 2 and n <= 64
+    if 2 * m <= n and field.q**n <= cap:
+        if packed:
+            span = kernels.count_words(bit_rows(parity), n)
+        else:
+            span = kernels.count_weights(parity, field.q, field.add_table, field.mul_table)
+        rank = m - np.searchsorted(field.q ** np.arange(m + 1), span[:, 0])
+        return kernels.macwilliams(span, field.q, m), n - rank
     if packed:
         bases, dims = kernel_words(bit_rows(parity), n)
     else:
@@ -222,10 +241,12 @@ def enumerate_weights(
 ) -> WeightEnumeration:
     """Exact weight distribution of the code {x : parity_matrix @ x = 0}.
 
-    Counts all q**dim codewords (dim = kernel dimension) as _count_stack
-    does: over GF(2) with at most 64 variables with kernels.count_words,
-    otherwise with kernels.count_weights.  dmin is inf for a code with no
-    nonzero word.
+    Counts as _count_stack does: with m rows, 2m <= n and q**n <= cap, all
+    q**m combinations of the rows, turned into the code's counts by the
+    MacWilliams identity; otherwise all q**dim codewords (dim = kernel
+    dimension) of a kernel basis.  Either way words are counted over GF(2)
+    with at most 64 variables with kernels.count_words, otherwise with
+    kernels.count_weights.  dmin is inf for a code with no nonzero word.
 
     Raises
     ------

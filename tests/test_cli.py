@@ -626,7 +626,9 @@ def test_oversized_grids_exit_3_without_output(tmp_path, capsys):
 # block of trials from one generator, the q = 2 n = 24 and n = 4 entries
 # before GF(2) codes were reduced and counted as bit rows, the q = 4 n = 8
 # entry, where 160 of 300 trials pass the filter, before the filter was
-# read from the weight counts); exact outputs are a byte-level contract.
+# read from the weight counts, the q = 3 n = 12, q = 2 n = 8 and q = 4
+# exhaustive entries before rate >= 1/2 codes were counted from the rows
+# of H); exact outputs are a byte-level contract.
 # The JSON spectrum documents were recorded when the default --n-cap was
 # 3000, which their meta block shows, so they pass it.
 RECORDED_DOCUMENTS = {
@@ -670,6 +672,12 @@ RECORDED_DOCUMENTS = {
         (806, "f95a58d8d5302ca8e1de9b31160bc167ca5b51509cd38a7bda4bfe53f1adfd7f"),
     "simulate --q 4 --c 2 --d 4 --n 8 --trials 300 --seed 11":
         (1967, "f0f69938040c0d3106a9dd76d3f6196dcdfb93a2eeb3ea00a1dec08b46b9cbc7"),
+    "simulate --q 3 --c 3 --d 6 --n 12 --trials 200 --seed 5":
+        (2560, "14c16846af5592e7cba5f678d28a7b162934fa7a724004320aaffa362eb26207"),
+    "simulate --q 2 --c 3 --d 4 --n 8 --trials 200 --seed 5":
+        (1754, "126eb7a8632c7504cf86f36133d34791b128ce297d2e218fb5f3591098b14403"),
+    "exhaustive --q 4 --c 2 --d 4 --n 2":
+        (585, "769b2d42006ed03a652115704d7af18c876b2913e5a7422f4424efe6eff0c5cf"),
 }
 
 RECORDED_ERRORS = {

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+import pytest
 
 from ldpc_spectra import build_field
-from ldpc_spectra.kernels import _count_bytes, count_weights, count_words
+from ldpc_spectra.kernels import _count_bytes, count_weights, count_words, krawtchouk, macwilliams
 from ldpc_spectra.linalg import bit_rows
 
 
@@ -111,3 +113,41 @@ def test_word_counts_match_byte_counts():
         want = _count_bytes(bases, field.add_table, field.mul_table)
         got = count_words(bit_rows(bases), n)
         assert got.shape == (batch, n + 1) and (got == want).all(), (batch, dim, n)
+
+
+def test_krawtchouk_matches_its_sum():
+    for q, n in ((2, 0), (2, 7), (3, 6), (4, 5), (256, 3)):
+        exact, fixed, peak = krawtchouk(q, n)
+        want = [[sum((-1)**i * (q - 1)**(w - i) * math.comb(j, i) * math.comb(n - j, w - i)
+                     for i in range(w + 1)) for w in range(n + 1)] for j in range(n + 1)]
+        assert exact.tolist() == want and fixed.tolist() == want, (q, n)
+        assert peak == max(abs(v) for row in want for v in row)
+
+
+def test_macwilliams_exact_across_the_int64_boundary():
+    # synthetic spans of m rows: all zero (the code is the whole space,
+    # and the sums reach q**m * peak) and one all-ones row among zeros
+    # (the code is {x : sum x = 0}); past the boundary the sums leave int64
+    visited = set()
+    for q, n in ((2, 64), (3, 38), (4, 30)):
+        peak = krawtchouk(q, n)[2]
+        for m in range(1, 6):
+            zero = np.zeros((1, n + 1), np.int64)
+            zero[0, 0] = q**m
+            ones = zero.copy()
+            ones[0, 0], ones[0, n] = q**(m - 1), (q - 1) * q**(m - 1)
+            got = macwilliams(np.concatenate([zero, ones]), q, m)
+            whole = [math.comb(n, w) * (q - 1)**w for w in range(n + 1)]
+            zero_sum = [math.comb(n, w) * ((q - 1)**w + (-1)**w * (q - 1)) // q for w in range(n + 1)]
+            assert got.dtype == np.int64 and got.tolist() == [whole, zero_sum], (q, n, m)
+            wide = q**m * peak >= 2**63
+            visited.add(wide)
+            if wide:
+                assert q**m * max(whole) >= 2**63  # these sums would wrap in int64
+    assert visited == {False, True}
+
+
+def test_macwilliams_refuses_a_remainder():
+    # two words counted where m = 2 rows give four: no row space counts so
+    with pytest.raises(AssertionError, match="inexact MacWilliams transform"):
+        macwilliams(np.array([[1, 1, 0, 0]]), 2, 2)

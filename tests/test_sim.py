@@ -23,10 +23,10 @@ from ldpc_spectra import (
     monte_carlo,
     sample_code,
 )
-from ldpc_spectra import sim
+from ldpc_spectra import kernels, sim
 from ldpc_spectra.cli import _report_data
 from ldpc_spectra.kernels import count_weights, count_words
-from ldpc_spectra.linalg import bit_rows, kernel_basis
+from ldpc_spectra.linalg import bit_rows, kernel_basis, kernel_words
 from ldpc_spectra.sim import SimReport, SpectrumStats
 from oracles import configuration_multiplicities, has_zero_column
 
@@ -787,3 +787,106 @@ def test_bit_rows_stop_at_the_word_width(monkeypatch):
     calls.clear()
     sim._count_stack(build_field(4), np.eye(3, 5, dtype=np.uint8)[None], sim.DEFAULT_ENUM_CAP)
     assert calls == ["bytes"]
+
+
+def no_elimination(monkeypatch):
+    """Make sim's eliminations fail the test if they are called."""
+    def refused(*args):
+        raise AssertionError("eliminated")
+    monkeypatch.setattr(sim, "kernel_basis", refused)
+    monkeypatch.setattr(sim, "kernel_words", refused)
+
+
+def dual_stacks(rng):
+    """(field, stack) pairs with 2m <= n and q**n <= 2**16: assembled codes,
+    and random, rank-deficient, zero, identity and zero-column matrices of
+    mixed dimension in one batch."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 256):
+        field = build_field(q)
+        n = int(16 / math.log2(q))
+        for m in sorted({1, n // 2}):
+            random = rng.integers(0, q, size=(4, m, n)).astype(np.uint8)
+            deficient = random[0].copy()
+            deficient[-1] = field.mul_table[q - 1, deficient[0]]
+            hole = random[1].copy()
+            hole[:, 0] = 0
+            yield field, np.concatenate([random, [deficient, hole, np.zeros((m, n), np.uint8),
+                                                  np.eye(m, n, dtype=np.uint8)]])
+        if q <= 16:
+            params = EnsembleParams(q=q, c=2, d=4, n=4)
+            yield field, sim.assemble_parity(params, field, *sim._draw(params, q, 100))
+    for q in (2, 3):
+        params = EnsembleParams(q=q, c=3, d=6, n=12)
+        yield build_field(q), sim.assemble_parity(
+            params, build_field(q), *sim._draw(params, q, 60))
+
+
+def test_dual_counts_match_the_elimination_route(monkeypatch):
+    # the byte elimination and counter, one code at a time, are the oracle
+    rng = np.random.default_rng(41)
+    oracle = [(field, parity, *byte_counts(field, parity)) for field, parity in dual_stacks(rng)]
+    no_elimination(monkeypatch)
+    fields, mixed = set(), 0
+    for field, parity, want, want_dims in oracle:
+        q, (m, n) = field.q, parity.shape[1:]
+        counts, dims = sim._count_stack(field, parity, q**n)
+        assert dims.tolist() == want_dims.tolist(), (q, parity.shape)
+        assert (counts == want).all(), (q, parity.shape)
+        fields.add(q)
+        mixed += len(set(dims.tolist())) > 1
+        if q == 2:
+            # GF(2) on bytes, as past 64 variables, rather than bit rows
+            span = count_weights(parity, 2, field.add_table, field.mul_table)
+            assert (kernels.macwilliams(span, 2, m) == want).all(), parity.shape
+    assert fields == {2, 3, 4, 5, 7, 8, 9, 16, 256} and mixed >= 24
+
+
+def test_hamming_code_from_its_check_matrix(monkeypatch):
+    # the [7,4] Hamming code: column v of H is v + 1 in binary
+    h = (np.arange(1, 8) >> np.arange(3)[:, None]) & 1
+    no_elimination(monkeypatch)
+    enum = enumerate_weights(build_field(2), h)
+    assert enum.counts == (1, 0, 0, 7, 7, 0, 0, 1)
+    assert (enum.dimension, enum.dmin) == (4, 3)
+
+
+def test_gf2_dual_on_bytes_past_the_word_width(monkeypatch):
+    # n = 65: the all-ones row gives the even-weight code, with e0 beside
+    # it the even-weight words that skip position 0; m = 2 takes the
+    # transform past int64
+    n = 65
+    ones, first = np.ones(n, np.uint8), np.eye(1, n, dtype=np.uint8)[0]
+    no_elimination(monkeypatch)
+    field = build_field(2)
+    for rows, free in (([ones], n), ([ones, first], n - 1)):
+        counts, dims = sim._count_stack(field, np.array([rows], np.uint8), 2**n)
+        want = [math.comb(free, w) * (w % 2 == 0) for w in range(n + 1)]
+        assert dims.tolist() == [n - len(rows)] and counts[0].tolist() == want
+
+
+def test_refusal_comes_before_any_count_where_the_cap_binds(monkeypatch):
+    # 2m <= n, but q**n > cap: the stack is eliminated and its dimensions
+    # checked first, as at low rate
+    field = build_field(2)
+    parity = np.stack([np.eye(6, 12, dtype=np.uint8), np.zeros((6, 12), np.uint8)])
+    calls = []
+    monkeypatch.setattr(sim.kernels, "count_weights", lambda *args: calls.append(args))
+    monkeypatch.setattr(sim.kernels, "count_words", lambda *args: calls.append(args))
+    with pytest.raises(CapacityError) as refused:
+        sim._count_stack(field, parity, 2**11)
+    assert str(refused.value) == "q**dim = 2**12 = 4096 codewords exceeds the cap 2048"
+    with pytest.raises(CapacityError):
+        enumerate_weights(field, parity[1], cap=2**11)
+    assert calls == []
+    monkeypatch.undo()
+    # below the cap the eliminated route counts; at q**n the dual route does
+    eliminated = []
+    monkeypatch.setattr(sim, "kernel_words", lambda *args: eliminated.append(args)
+                        or kernel_words(*args))
+    counts, dims = sim._count_stack(field, parity[:1], 2**6)
+    assert len(eliminated) == 1 and dims.tolist() == [6]
+    assert counts[0].tolist() == [math.comb(6, w) for w in range(7)] + [0] * 6
+    both, both_dims = sim._count_stack(field, parity, 2**12)
+    assert len(eliminated) == 1 and both_dims.tolist() == [6, 12]
+    assert (both[0] == counts[0]).all()
+    assert both[1].tolist() == [math.comb(12, w) for w in range(13)]
