@@ -43,8 +43,9 @@ class _Parser(argparse.ArgumentParser):
 #
 # JSON is written by a recursive writer that appends text parts (keys
 # sorted, two-space indent, strings through json's C string escaper but
-# for digit strings, which hold nothing to escape), and CSV as one joined
-# line per row.  json.dumps with indent runs json's pure-Python encoder,
+# for digit strings, which hold nothing to escape), each table's records
+# through one template of its sorted keys, and CSV as one joined line per
+# row.  json.dumps with indent runs json's pure-Python encoder,
 # about twice as slow; it and csv.writer stay in the tests as oracles of
 # the bytes.
 # ---------------------------------------------------------------------------
@@ -93,28 +94,46 @@ def ratio_to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+class _Table:
+    """A table of a JSON data block: rows of cells keyed by header, which
+    the writer renders as a list of records without a dict per row."""
+
+    __slots__ = ("header", "rows")
+
+    def __init__(self, header, rows):
+        self.header = header
+        self.rows = rows
+
+
+def _json_scalar(value) -> str:
+    """The JSON text of a string, number, None or bool, as json.dumps
+    writes it, but non-finite floats become the strings "inf", "-inf" and
+    "nan" that CSV shows too, and numpy scalars their Python values."""
+    if isinstance(value, str):
+        return '"' + value + '"' if type(value) is _Digits else _json_string(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return text if math.isfinite(value) else f'"{text}"'
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, np.generic):
+        return _json_scalar(value.item())
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_parts(value, parts: list, newline: str) -> None:
     """Append the JSON text of value to parts, as json.dumps(value,
     sort_keys=True, indent=2) writes it; newline is the line break plus the
-    indent of the line value starts on.
-
-    Non-finite floats become the strings "inf", "-inf" and "nan" that CSV
-    shows too, and numpy scalars their Python values.
+    indent of the line value starts on.  A _Table is written as its list
+    of records.
     """
-    if isinstance(value, str):
-        parts.append('"' + value + '"' if type(value) is _Digits else _json_string(value))
-    elif isinstance(value, float):
-        text = float.__repr__(value)
-        parts.append(text if math.isfinite(value) else f'"{text}"')
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         if not value:
             parts.append("{}")
             return
@@ -136,10 +155,30 @@ def _json_parts(value, parts: list, newline: str) -> None:
             _json_parts(item, parts, inner)
             opening = "," + inner
         parts.append(newline + "]")
-    elif isinstance(value, np.generic):
-        _json_parts(value.item(), parts, newline)
+    elif type(value) is _Table:
+        _table_parts(value, parts, newline)
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        parts.append(_json_scalar(value))
+
+
+def _table_parts(table: _Table, parts: list, newline: str) -> None:
+    """Append a table's records to parts, each written through one
+    %-template that holds the table's keys, sorted and escaped once."""
+    if not table.rows:
+        parts.append("[]")
+        return
+    inner = newline + "  "
+    order = sorted(range(len(table.header)), key=table.header.__getitem__)
+    fields = ",".join(
+        f"{inner}  {_json_string(table.header[i]).replace('%', '%%')}: %s" for i in order
+    )
+    template = "{" + fields + inner + "}"
+    opening = "[" + inner
+    for row in table.rows:
+        parts.append(opening)
+        parts.append(template % tuple([_json_scalar(row[i]) for i in order]))
+        opening = "," + inner
+    parts.append(newline + "]")
 
 
 def emit_json(args, data, out) -> None:
@@ -199,8 +238,9 @@ def _write_output(path: str | None, text: str) -> None:
 #
 # Each returns (header, rows, data): rows of typed cells (int, string,
 # Python float) for CSV, and the JSON data block, whose tables are those
-# same rows keyed by the header.  run renders one of the two, and the
-# curve commands, CSV by default, build their data block only for JSON.
+# same rows keyed by the header (a _Table).  run renders one of the two,
+# and the curve commands, CSV by default, build their data block only for
+# JSON.
 # ---------------------------------------------------------------------------
 
 
@@ -209,21 +249,25 @@ def _fields(obj, *skip) -> dict:
     return {k: v for k, v in vars(obj).items() if k not in skip}
 
 
-def _records(header, rows) -> list[dict]:
-    return [dict(zip(header, row)) for row in rows]
-
-
 def _columns(*columns) -> list[tuple]:
     """Rows of Python numbers from equally long arrays or sequences."""
     return list(zip(*(np.asarray(col).tolist() for col in columns)))
 
 
 def _fraction_table(key: str, keys, values) -> tuple[list[str], list[list]]:
+    """Rows of key, numerator and denominator digits and the double of a
+    sequence of Fractions.  The cells are built once per Fraction object,
+    so rows that share one (the mirrored half of a spectrum) share them."""
     header = [key, "numerator", "denominator", "approx"]
+    cells = {}
     rows = []
     for k, v in zip(keys, values):
-        num, den = v.numerator, v.denominator
-        rows.append([k, digit_string(num), digit_string(den), ratio_to_float(num, den)])
+        # values holds every v for the call, so no id is reused meanwhile
+        row = cells.get(id(v))
+        if row is None:
+            num, den = v.numerator, v.denominator
+            row = cells[id(v)] = (digit_string(num), digit_string(den), ratio_to_float(num, den))
+        rows.append([k, *row])
     return header, rows
 
 
@@ -233,7 +277,7 @@ def _params(args) -> spectrum.EnsembleParams:
 
 def _spectrum_table(table: spectrum.SpectrumTable):
     header, rows = _fraction_table("l", range(len(table.values)), table.values)
-    return header, rows, {"spectrum": _records(header, rows)}
+    return header, rows, {"spectrum": _Table(header, rows)}
 
 
 def _cmd_spectrum(args):
@@ -256,7 +300,7 @@ def _grid(args) -> np.ndarray:
 
 def _curve(args, header, xs, columns):
     rows = _columns(xs, *columns)
-    data = {"curve": _records(header, rows)} if args.format == "json" else None
+    data = {"curve": _Table(header, rows)} if args.format == "json" else None
     return header, rows, data
 
 
@@ -376,7 +420,7 @@ def _cmd_gv_limit(args):
             )
         rows.append((d, c, marks.x0, gv, gv - marks.x0))
     header = ["d", "c", "x0", "gv", "gap"]
-    return header, rows, {"rows": _records(header, rows)}
+    return header, rows, {"rows": _Table(header, rows)}
 
 
 def _cmd_small_weight(args):
@@ -387,7 +431,7 @@ def _cmd_small_weight(args):
         "exact_zero": report.exact_zero,
         "slope": report.slope,
         "predicted_exponent": report.predicted_exponent,
-        "points": _records(header, rows),
+        "points": _Table(header, rows),
     }
     return header, rows, data
 

@@ -678,6 +678,12 @@ RECORDED_DOCUMENTS = {
         (1754, "126eb7a8632c7504cf86f36133d34791b128ce297d2e218fb5f3591098b14403"),
     "exhaustive --q 4 --c 2 --d 4 --n 2":
         (585, "769b2d42006ed03a652115704d7af18c876b2913e5a7422f4424efe6eff0c5cf"),
+    # q = 2, even d: mirrored tables, one of odd length, recorded before the
+    # weights above n/2 were taken from their mirrors
+    "spectrum --q 2 --c 2 --d 2 --n 7":
+        (1211, "1d85cde082e3b4663f3908e373e5bb436b2e711bb5780361ea76f7e80c002998"),
+    "spectrum --q 2 --c 4 --d 8 --n 202 --format csv":
+        (65992, "08f41f21845620986e8e7bf877742c4bc2f1db1aa9a9639be9c2d7c439c28671"),
 }
 
 RECORDED_ERRORS = {
@@ -695,6 +701,14 @@ RECORDED_ERRORS = {
             'the longest list; c*n or c*l is too large"}\n'),
     "small-weight --q 7 --c 99999999999999999999 --d 1 --l 1 --n-list 3,6,9":
         (3, '{"code": 3, "message": "coefficients a(0..99999999999999999999) exceed '
+            'the longest list; c*n or c*l is too large"}\n'),
+    # a mirrored table whose full row is too long is refused alike, though
+    # its half row would fit a list's length; so is a single weight's row c*l
+    "spectrum --q 2 --c 4611686018427387904 --d 2 --n 3":
+        (3, '{"code": 3, "message": "coefficients a(0..13835058055282163712) exceed '
+            'the longest list; c*n or c*l is too large"}\n'),
+    "small-weight --q 2 --c 4611686018427387904 --d 2 --l 2 --n-list 3,6,9":
+        (3, '{"code": 3, "message": "coefficients a(0..9223372036854775808) exceed '
             'the longest list; c*n or c*l is too large"}\n'),
 }
 
@@ -763,7 +777,8 @@ def jsonable(value):
     """Map a result value onto JSON-encodable structures.
 
     Non-finite floats become their repr, the strings "inf"/"-inf"/"nan"
-    that CSV shows too, and numpy scalars become Python numbers.
+    that CSV shows too, numpy scalars become Python numbers, and a table
+    becomes its list of records.
     """
     if isinstance(value, float):
         return value if math.isfinite(value) else repr(value)
@@ -773,6 +788,9 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if isinstance(value, np.generic):
         return jsonable(value.item())
+    if isinstance(value, cli._Table):
+        # a table renders as its records, one dict per row keyed by the header
+        return [jsonable(dict(zip(value.header, row))) for row in value.rows]
     return value
 
 

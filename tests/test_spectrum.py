@@ -188,11 +188,56 @@ def test_total_mass_lower_bound():
         assert total >= q ** (n - c * n // d)
 
 
+def unmirrored(params):
+    """E[A(l)] for l = 0..n assembled over the full row a(0..c*n), unmirrored."""
+    coeffs = check_coeffs(params.q, params.d, params.num_checks, params.num_sockets)
+    return fraction_average(params, coeffs)
+
+
 def test_spectrum_symmetry_binary_even_d():
+    # the served table is mirrored, so the symmetry is read off the
+    # independent assembly over the full coefficient row
     for c, n in ((3, 12), (4, 12)):
         params = EnsembleParams(q=2, c=c, d=6, n=n)
-        vals = avg_weight_distribution(params).values
+        vals = unmirrored(params)
         assert all(vals[l] == vals[n - l] for l in range(n + 1))
+        assert avg_weight_distribution(params).values == tuple(vals)
+
+
+def mirror_grid():
+    # q = 2 and even d, every c <= 6, block lengths odd and even, n = 1 among them
+    for d in (2, 4, 6, 8):
+        for c in range(1, 7):
+            step = d // math.gcd(c, d)
+            for n in sorted({step, 2 * step, 3 * step, 7 * step, 7, 12, 61}):
+                if n % step == 0:
+                    yield EnsembleParams(q=2, c=c, d=d, n=n)
+
+
+def test_mirrored_half_equals_full_row():
+    # the q = 2, even-d table walks l <= n/2 and mirrors; the reference
+    # assembles every weight from the full row.  One q = 2 odd-d and one
+    # q > 2 ensemble take the unmirrored path and must equal it as well.
+    grid = [*mirror_grid(), EnsembleParams(q=2, c=3, d=5, n=20),
+            EnsembleParams(q=4, c=3, d=6, n=14)]
+    assert {(p.c, p.d, p.n) for p in grid} >= {(2, 2, 7), (4, 4, 7), (4, 4, 1)}
+    for params in grid:
+        n = params.n
+        table = avg_weight_distribution(params).values
+        assert table == tuple(unmirrored(params)), params
+        if params.q == 2 and params.d % 2 == 0:
+            # a mirrored weight holds its twin's object, whose cells cli reuses
+            assert all(table[l] is table[n - l] for l in range(n + 1)), params
+
+
+def test_avg_weight_at_matches_mirrored_half():
+    # a single weight above n/2 walks its own row c*l; the table serves it
+    # as the mirror of n-l
+    for params in (EnsembleParams(q=2, c=3, d=6, n=600), EnsembleParams(q=2, c=4, d=8, n=202)):
+        n = params.n
+        table = avg_weight_distribution(params).values
+        for l in (n - 1, n - 5, -(-n // 2)):
+            assert avg_weight_at(params, l) == table[l], (params, l)
 
 
 def test_degree_one_checks_pin_everything():
