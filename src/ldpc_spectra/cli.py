@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
@@ -44,10 +44,10 @@ class _Parser(argparse.ArgumentParser):
 # JSON is written by a recursive writer that appends text parts (keys
 # sorted, two-space indent, strings through json's C string escaper but
 # for digit strings, which hold nothing to escape), each table's records
-# through one template of its sorted keys, and CSV as one joined line per
-# row.  json.dumps with indent runs json's pure-Python encoder,
-# about twice as slow; it and csv.writer stay in the tests as oracles of
-# the bytes.
+# through one template of its sorted keys.  CSV rows are all filled in by
+# one % call on a line template repeated once per row.  json.dumps with
+# indent runs json's pure-Python encoder, about twice as slow; it and
+# csv.writer stay in the tests as oracles of the bytes.
 # ---------------------------------------------------------------------------
 
 
@@ -181,7 +181,8 @@ def _table_parts(table: _Table, parts: list, newline: str) -> None:
     parts.append(newline + "]")
 
 
-def emit_json(args, data, out) -> None:
+def emit_json(args, data) -> str:
+    """The JSON document of a subcommand: its meta block and data."""
     doc = {
         "meta": {
             "command": args.command,
@@ -194,7 +195,7 @@ def emit_json(args, data, out) -> None:
     parts = []
     _json_parts(doc, parts, "\n")
     parts.append("\n")
-    out.write("".join(parts))
+    return "".join(parts)
 
 
 def _meta_parameters(args) -> dict:
@@ -202,15 +203,17 @@ def _meta_parameters(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def emit_csv(header, rows, out) -> None:
-    """Write rows of ints, strings and Python floats as CSV, one line each.
+def emit_csv(header, rows) -> str:
+    """The CSV document of a header and a sequence of rows of ints,
+    strings and Python floats, each row as wide as the header.
 
-    Cells are joined as str(x) with no quoting: no cell holds a comma, a
+    Cells are written as str(x) with no quoting: no cell holds a comma, a
     quote or a line break.  A float shows its repr, the bare literal inf,
-    -inf or nan for a non-finite value.
+    -inf or nan for a non-finite value.  Every row goes through one
+    "%s,...,%s" line, repeated once per row and filled in one % call.
     """
-    out.write(",".join(header) + "\n")
-    out.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + (line * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -553,12 +556,11 @@ def run(argv=None) -> int:
     try:
         args = _run_parser().parse_args(argv)
         header, rows, data = args.func(args)
-        out = io.StringIO()
         if args.format == "csv":
-            emit_csv(header, rows, out)
+            text = emit_csv(header, rows)
         else:
-            emit_json(args, data, out)
-        _write_output(args.output, out.getvalue())
+            text = emit_json(args, data)
+        _write_output(args.output, text)
     except ParameterError as exc:
         sys.stderr.write(json.dumps({"code": 2, "message": str(exc)}) + "\n")
         return 2

@@ -49,8 +49,9 @@ ENDPOINT_BAND = 1e-8
 
 INF = float("inf")
 
-# Relative step at which the gap solve stops, and the iteration cap of the
-# scalar bisections run to the floating point floor.
+# Relative step at which the gap solve stops, and the cap on the function
+# evaluations of each scalar root solve (_brent) run to the floating point
+# floor.
 BISECT_TOL = 1e-12
 BISECT_MAXIT = 200
 
@@ -87,11 +88,14 @@ def tilt_powers(q, d, s, near):
         p = np.exp(lt)
         return p, -np.expm1(lt), 1.0 + (q - 1.0) * (p * t)
     if q == 2 and d % 2 == 1:
-        with np.errstate(divide="ignore"):
-            la = np.log(np.abs(t))
+        # |t| is 0 or at least 2**-53 on this side; at the least subnormal
+        # in place of 0, ln|t| = -744 and the powers of t still underflow to
+        # exactly p = 0, 1 - p = 1 + t**d = 1, with no division by zero
+        la = np.log(np.fmax(abs(t), 5e-324))
         lt = (d - 1) * la
         p = np.exp(lt)
-        return p, -np.expm1(lt), np.where(t < 0.0, -np.expm1(lt + la), 1.0 + p * t)
+        # 1 + t**d picked by 0/1 weights, exact as both forms are finite
+        return p, -np.expm1(lt), (t < 0.0) * -np.expm1(lt + la) + (t >= 0.0) * (1.0 + p * t)
     p = np.abs(t) ** (d - 1)
     if d % 2 == 0:
         p = np.copysign(p, t)
@@ -537,36 +541,77 @@ class Landmarks:
     s2: float | None
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
+def _brent(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi] by Brent's method, to the floating point floor.
+
+    f(lo) and f(hi) must differ in sign (DomainError otherwise); an end
+    where f is 0 is returned as it is.  The bracket [b, c] keeps f(b) and
+    f(c) of opposite signs, b the end with the smaller |f|.  Each step is
+    an inverse quadratic or secant step through the last three points, or
+    a halving where the step would leave the bracket or shrink it too
+    slowly (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4).  Once the bracket is a few ulps wide it is halved down to a
+    pair of adjacent floats, whose midpoint is returned.  f is evaluated
+    at most BISECT_MAXIT times; an exact zero ends the search at once.
+    """
+    fa, fb = f(lo), f(hi)
+    if fa == 0.0:
         return lo
-    if fhi == 0.0:
+    if fb == 0.0:
         return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise DomainError(f"bisection bracket [{lo}, {hi}] does not change sign")
-    for _ in range(BISECT_MAXIT):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo = mid
+    if (fa < 0.0) == (fb < 0.0):
+        raise DomainError(f"root bracket [{lo}, {hi}] does not change sign")
+    a, b = lo, hi
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(BISECT_MAXIT - 2):
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        # two to four ulps of b
+        tol = 2.0**-51 * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            new = 0.5 * (b + c)
+            if new == b or new == c:
+                return new
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            if abs(e) >= tol and abs(fa) > abs(fb):
+                r = fb / fa
+                if a == c:
+                    p, den = 2.0 * m * r, 1.0 - r
+                else:
+                    u, v = fa / fc, fb / fc
+                    p = r * (2.0 * m * u * (u - v) - (b - a) * (v - 1.0))
+                    den = (u - 1.0) * (v - 1.0) * (r - 1.0)
+                if p > 0.0:
+                    den = -den
+                p = abs(p)
+                # a NaN step, from an infinite value of f, fails and halves
+                if 2.0 * p < min(3.0 * m * den - abs(tol * den), abs(e * den)):
+                    e, d = d, p / den
+                else:
+                    d = e = m
+            else:
+                d = e = m
+            new = b + (d if abs(d) > tol else math.copysign(tol, m))
+        a, fa = b, fb
+        b, fb = new, f(new)
+        if fb == 0.0:
+            return b
+    return b
 
 
 def landmarks(q: int, c: int, d: int) -> Landmarks:
     """Locate the landmark weights of omega for one ensemble.
 
-    Each landmark is one bisection root, run to the floating point floor
-    on Python floats, with weight x(s) = (q-1)(1 - zeta(1 - s))/q rising
-    from 0 to 1 - 1/q over the gap s in [0, 1]: s2 is a root of xi(s) on
-    (0, 1), s3 of omega'(s) on (0, 1), and s0 of omega(s) on (s3, 1).
+    Each landmark is one root in the gap s, found by Brent's method to the
+    floating point floor on Python floats; its weight x(s) =
+    (q-1)(1 - zeta(1 - s))/q rises from 0 to 1 - 1/q over s in [0, 1].
+    s2 is a root of xi(s) on (0, 1), s3 of omega'(s) on (0, 1), and s0 of
+    omega(s) on (s3, 1).
     """
     check_order(q)
     _check_c(c)
@@ -585,11 +630,11 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
     s2 = None
     if c >= 3:
         # xi(s -> 0) = -q(c-2)(d-1) < 0 and xi(1) = 1
-        s2 = _bisect(curvature, 1e-300, 1.0)
+        s2 = _brent(curvature, 1e-300, 1.0)
     elif c == 2 and q >= 3:
         lo, hi = 1e-6, 1.0 - 1e-12
         if (curvature(lo) < 0.0) != (curvature(hi) < 0.0):
-            s2 = _bisect(curvature, lo, hi)
+            s2 = _brent(curvature, lo, hi)
         else:
             # xi(s -> 0) = 0 when c = 2: the flip degenerates to the edge.
             s2 = 0.0
@@ -603,7 +648,7 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
 
     if c >= 3:
         # omega'(s) -> -inf as s -> 0, > 0 on (s3, 1), and 0 at the peak s = 1.
-        s3 = _bisect(lambda s: _slope(q, c, d, s, s < 1.0 / d), 1e-300, 1.0 - 1e-6)
+        s3 = _brent(lambda s: _slope(q, c, d, s, s < 1.0 / d), 1e-300, 1.0 - 1e-6)
         x3 = weight(s3)
         if c == d:
             x0 = (q - 1.0) / q
@@ -615,7 +660,7 @@ def landmarks(q: int, c: int, d: int) -> Landmarks:
                 x = weight(s)
                 return _entropy_open(x, q) + (c / d) * _gain(q, d, x, s, s < 1.0 / d, excess)
 
-            x0 = weight(_bisect(omega_at, s3, 1.0))
+            x0 = weight(_brent(omega_at, s3, 1.0))
 
     return Landmarks(
         q=q, c=c, d=d, x1=x1, x0=x0, x2=x2, x3=x3, zhat2=zhat2, zhat2_neg=zhat2_neg, s2=s2
@@ -633,7 +678,7 @@ def gv_threshold(q: int, r: float) -> float:
     if r == 1.0:
         return (q - 1.0) / q
     target = r * math.log(q)
-    return _bisect(lambda t: _entropy_open(t, q) - target, 1e-300, (q - 1.0) / q)
+    return _brent(lambda t: _entropy_open(t, q) - target, 1e-300, (q - 1.0) / q)
 
 
 __all__ = [

@@ -6,7 +6,8 @@ delta, the weight form of the growth rate's derivative, the Stirling-gap
 upper bound on (1/n) ln E[A(l)], the Taylor slack behind the
 small-weight bound, the parity matrices of every ensemble
 configuration, the weight-1 words of a code read off its zero columns,
-and the exact spectrum assembled as unreduced integer pairs that Fraction
+the halving root solve the landmarks and thresholds once used, and the
+exact spectrum assembled as unreduced integer pairs that Fraction
 reduces.  No subcommand needs them, so they live here.
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 from ldpc_spectra import DomainError, ParameterError
 from ldpc_spectra.gf import build_field, check_order
 from ldpc_spectra.growth import (
+    BISECT_MAXIT,
     ENDPOINT_BAND,
     INF,
     _check_c,
@@ -192,3 +194,33 @@ def has_zero_column(parity: np.ndarray) -> np.ndarray:
     check constraint and the code has a word of weight 1.
     """
     return (parity == 0).all(axis=1).any(axis=1)
+
+
+def bisect(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi] by halving the bracket down to a pair of
+    adjacent floats, whose midpoint is returned, or to an exact zero.
+
+    The former root solve of growth.landmarks and growth.gv_threshold, kept
+    as the reference for its replacement: the same DomainError when f(lo)
+    and f(hi) have one sign, and at most BISECT_MAXIT halvings.
+    """
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo < 0.0) == (fhi < 0.0):
+        raise DomainError(f"bisection bracket [{lo}, {hi}] does not change sign")
+    for _ in range(BISECT_MAXIT):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

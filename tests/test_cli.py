@@ -871,15 +871,28 @@ def test_emit_json_matches_stdlib_on_edge_values():
         "\u00e9 key": 1,
         "": "empty key",
     }
-    out = io.StringIO()
-    cli.emit_json(args, data, out)
-    assert out.getvalue() == oracle_json(args, data)
+    assert cli.emit_json(args, data) == oracle_json(args, data)
     # a non-finite numpy float reads like a Python one; the old jsonable
     # gave numpy's repr, "np.float64(inf)", where no document carries one
     values = [np.float64(math.inf), np.float64(-math.inf), np.float64(math.nan)]
-    out = io.StringIO()
-    cli.emit_json(args, values, out)
-    assert out.getvalue() == oracle_json(args, [math.inf, -math.inf, math.nan])
+    assert cli.emit_json(args, values) == oracle_json(args, [math.inf, -math.inf, math.nan])
+
+
+def test_emit_csv_matches_csv_writer_on_every_cell_kind():
+    header = ["l", "digits", "x", "y"]
+    # 3**9100 has 4342 digits, past the default int digit limit of str()
+    digits = cli.digit_string(3**9100)
+    rows = [
+        (0, digits, math.inf, -math.inf),
+        (-7, cli.digit_string(12), math.nan, -0.0),
+        (2**64, "", 0.1, 1e-310),
+        [True, "text", 1.5e300, 0.0],
+    ]
+    assert len(digits) > 4300
+    assert cli.emit_csv(header, []) == oracle_csv(header, []) == "l,digits,x,y\n"
+    assert cli.emit_csv(header, rows[:1]) == oracle_csv(header, rows[:1])
+    assert cli.emit_csv(header, rows) == oracle_csv(header, rows)
+    assert cli.emit_csv(["x"], [(0.5,), (-0.0,)]) == "x\n0.5\n-0.0\n"
 
 
 def chunked_digits(value):

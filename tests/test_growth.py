@@ -14,6 +14,7 @@ from ldpc_spectra import (
     ParameterError,
     delta,
     entropy_q,
+    growth,
     gv_threshold,
     landmarks,
     omega,
@@ -23,8 +24,16 @@ from ldpc_spectra import (
     zeta,
 )
 from ldpc_spectra.cli import figure_data
-from ldpc_spectra.growth import BISECT_TOL, _sides, gap_map, omega_family, solve_gap_batch
-from oracles import delta_two_arg, divergence, domega_alt
+from ldpc_spectra.growth import (
+    BISECT_MAXIT,
+    BISECT_TOL,
+    _brent,
+    _sides,
+    gap_map,
+    omega_family,
+    solve_gap_batch,
+)
+from oracles import bisect, delta_two_arg, divergence, domega_alt
 
 FIG_PAIRS = [(2, 5), (2, 6), (3, 5), (3, 6)]
 FIG_TRIPLES = [(q, c, d) for q, d in FIG_PAIRS for c in (1, 2, 3)]
@@ -608,17 +617,21 @@ def test_landmark_residuals_and_ordering():
         assert lm.x1 == x1_right_endpoint(q, d)
 
 
+# c in {3, 4, 5, d/2, d - 1, d} over a spread of fields and check degrees
+SHAPE_ENSEMBLES = [
+    (q, c, d)
+    for q in (2, 3, 4, 5, 8, 16, 256, 65521)
+    for d in (3, 4, 5, 6, 7, 8, 12, 20, 50)
+    for c in sorted({3, 4, 5, d - 1, d} | ({d // 2} if d % 2 == 0 else set()))
+    if 3 <= c <= d
+]
+
+
 def test_landmarks_shape_the_curve_across_ensembles():
     # the paper's qualitative claims on a 1001-point grid inside (0, 1 - 1/q):
     # omega falls to its minimum at x3, crosses zero at x0 and is convex
-    # up to the inflection x2, concave past it; c in {3, 4, 5, d/2, d - 1, d}
-    ensembles = [
-        (q, c, d)
-        for q in (2, 3, 4, 5, 8, 16, 256, 65521)
-        for d in (3, 4, 5, 6, 7, 8, 12, 20, 50)
-        for c in sorted({3, 4, 5, d - 1, d} | ({d // 2} if d % 2 == 0 else set()))
-        if 3 <= c <= d
-    ]
+    # up to the inflection x2, concave past it
+    ensembles = SHAPE_ENSEMBLES
     assert len(ensembles) == 304
     for q, c, d in ensembles:
         top = 1 - 1 / q
@@ -640,30 +653,14 @@ def test_domega_zeroes_x3_at_large_d():
         assert abs(omega(q, c, d, landmarks(q, c, d).x3)[1]) < 1e-10, (q, c, d)
 
 
-def _bisect_to_floor(f, lo, hi):
-    flo = f(lo)
-    assert (flo < 0.0) != (f(hi) < 0.0)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo = mid
-        else:
-            hi = mid
-
-
 def nested_landmarks(q, c, d):
     # the former solve, kept as the reference: bisection in x on omega and
     # its slope, each evaluation running its own tilt bisection
     x_sym = (q - 1) / q
-    x3 = _bisect_to_floor(lambda x: omega(q, c, d, x)[1], 1e-6, x_sym - 1e-6)
+    x3 = bisect(lambda x: omega(q, c, d, x)[1], 1e-6, x_sym - 1e-6)
     if c == d:
         return x3, x_sym
-    return x3, _bisect_to_floor(lambda x: omega(q, c, d, x)[0], x3, x_sym)
+    return x3, bisect(lambda x: omega(q, c, d, x)[0], x3, x_sym)
 
 
 @pytest.mark.parametrize("q, c, d", [
@@ -745,6 +742,98 @@ def test_second_derivative_sign_follows_xi():
             x = lm.x2 + (lm.x1 - lm.x2) * frac
             om, _ = omega(q, c, d, np.array([x - h, x, x + h]))
             assert om[0] - 2 * om[1] + om[2] < 0, (q, c, d, x)
+
+
+# ---------------------------------------------------------------------------
+# the root solve behind the landmarks and the GV threshold
+
+
+def counted_solve(solve, f, lo, hi):
+    """solve(f, lo, hi) and the number of evaluations of f it made."""
+    count = [0]
+
+    def counted(x):
+        count[0] += 1
+        return f(x)
+
+    return solve(counted, lo, hi), count[0]
+
+
+def recorded_solves(monkeypatch, run):
+    """(f, lo, hi, root, evaluations) of every root solve that run() makes."""
+    solves = []
+
+    def record(f, lo, hi):
+        root, evaluations = counted_solve(_brent, f, lo, hi)
+        solves.append((f, lo, hi, root, evaluations))
+        return root
+
+    monkeypatch.setattr(growth, "_brent", record)
+    run()
+    return solves
+
+
+def assert_floor_root(f, lo, hi, root):
+    # within 1e-10 of the halving oracle, and an exact zero or a sign
+    # change of f between root and a float next to it
+    want = bisect(f, lo, hi)
+    assert abs(root - want) <= 1e-10 * abs(want), (lo, hi, root, want)
+    value = f(root)
+    sides = (f(math.nextafter(root, -math.inf)), f(math.nextafter(root, math.inf)))
+    assert value == 0.0 or any((v < 0.0) != (value < 0.0) for v in sides), (lo, hi, root)
+
+
+# Most evaluations one root took, measured over the cases below (x86-64,
+# numpy 2.4): 32 for a landmark, the zero s0 of omega next to its minimum
+# s3, and 17 for a GV threshold; 17575 for all 1335 roots, against 47-64
+# per root and 74117 in all for the halving oracle.  The bounds leave a
+# few evaluations for last-digit differences of other libms.
+LANDMARK_EVALS = 36
+GV_EVALS = 20
+
+
+def test_landmark_roots_reach_the_floor_in_few_evaluations(monkeypatch):
+    solves = recorded_solves(
+        monkeypatch, lambda: [landmarks(q, c, d) for q, c, d in SHAPE_ENSEMBLES])
+    # s2, s3 and s0 for each, but no s0 where c = d and x0 = 1 - 1/q
+    assert len(solves) == sum(3 - (c == d) for _, c, d in SHAPE_ENSEMBLES)
+    for f, lo, hi, root, evaluations in solves:
+        assert evaluations <= LANDMARK_EVALS, (lo, hi, evaluations)
+        assert_floor_root(f, lo, hi, root)
+
+
+def test_gv_roots_reach_the_floor_in_few_evaluations(monkeypatch):
+    rates = [k / 100 for k in range(1, 100)]
+    solves = recorded_solves(
+        monkeypatch, lambda: [gv_threshold(q, r) for q in (2, 3, 4, 16, 256) for r in rates])
+    assert len(solves) == 5 * len(rates)
+    for f, lo, hi, root, evaluations in solves:
+        assert evaluations <= GV_EVALS, (lo, hi, evaluations)
+        assert_floor_root(f, lo, hi, root)
+
+
+def test_root_solve_on_hard_brackets():
+    jump = lambda x: -1.0 if x < 0.3 else 1.0                   # no root
+    flat = lambda x: min(0.0, x - 0.2) + max(0.0, x - 0.4)      # 0 on [0.2, 0.4]
+    log_inf = lambda x: -math.inf if x == 0.0 else math.log(x) + 1.0
+    pole = lambda x: math.inf if x == 1.0 else x / (1.0 - x) - 1.0
+    cases = [
+        (jump, 0.0, 1.0, bisect(jump, 0.0, 1.0)),               # the oracle's bytes
+        (flat, 0.1, 1.0, None),
+        (log_inf, 0.0, 1.0, math.exp(-1.0)),
+        (pole, 0.0, 1.0, 0.5),
+        (lambda x: math.log(x) + 600.0, 1e-300, 1.0, None),     # e**-600: at the cap
+        (lambda x: x - 3e-300, 1e-300, 1.0, 3e-300),
+    ]
+    for f, lo, hi, want in cases:
+        root, evaluations = counted_solve(_brent, f, lo, hi)
+        assert lo <= root <= hi and evaluations <= BISECT_MAXIT, (lo, hi, root)
+        assert want is None or root == want, (lo, hi, root, want)
+    assert bisect(jump, 0.0, 1.0) == 0.29999999999999993
+    assert flat(_brent(flat, 0.1, 1.0)) == 0.0
+    for solve in (_brent, bisect):
+        with pytest.raises(DomainError):
+            solve(lambda x: x + 1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
